@@ -4,7 +4,11 @@
 //! file sets, and reconfiguration is cheap.
 
 use anu_bench::bench;
+use anu_cluster::{ClusterConfig, ClusterView, PlacementPolicy};
 use anu_core::{FileSetId, HashFamily, PlacementMap, ServerId};
+use anu_des::SimTime;
+use anu_policies::{Instance, Prescient};
+use anu_workload::SyntheticConfig;
 use std::collections::BTreeMap;
 use std::hint::black_box;
 
@@ -86,10 +90,50 @@ fn bench_assignment_scan() {
     });
 }
 
+fn bench_prescient() {
+    // Figure 8's shape: 500 file sets of extreme heterogeneity on the
+    // 1/3/5/7/9 cluster, the oracle looking over the whole run. `solve` is
+    // the full LPT + refinement; `on_tick` is one stationary tick, which
+    // the makespan lower bound settles without solving.
+    let cluster = ClusterConfig::paper();
+    let w = SyntheticConfig::paper(1)
+        .with_offered_load(0.5, cluster.total_speed())
+        .generate();
+    let speeds: BTreeMap<ServerId, f64> = cluster.servers.iter().map(|s| (s.id, s.speed)).collect();
+    let inst = Instance {
+        demands: w
+            .total_demands()
+            .into_iter()
+            .enumerate()
+            .map(|(i, d)| (FileSetId(i as u64), d))
+            .collect(),
+        servers: speeds.iter().map(|(&s, &v)| (s, v)).collect(),
+    };
+    bench("prescient/solve (500 sets, 5 servers)", || {
+        black_box(&inst).solve()
+    });
+
+    let mut p = Prescient::new(w.clone(), speeds, w.duration());
+    let mut view = ClusterView {
+        servers: cluster
+            .server_ids()
+            .into_iter()
+            .map(|s| (s, true))
+            .collect(),
+        now: SimTime::ZERO,
+    };
+    let assignment = p.initial(&view, &w.file_sets());
+    view.now = SimTime::ZERO + cluster.tick;
+    bench("prescient/on_tick (500 sets, 5 servers)", || {
+        p.on_tick(black_box(&view), &[], &assignment)
+    });
+}
+
 fn main() {
     bench_hash_family();
     bench_locate();
     bench_rebalance();
     bench_membership();
     bench_assignment_scan();
+    bench_prescient();
 }

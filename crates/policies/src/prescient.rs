@@ -14,6 +14,16 @@
 //! current one — with a time-stationary workload it then "retains the same
 //! configuration for the duration of the experiment" exactly as the paper
 //! observes, while still tracking genuine workload shifts in the trace.
+//!
+//! Most ticks never solve. No packing can finish before the
+//! capacity-proportional balance point `Σd / Σspeed`, nor before the
+//! largest set runs alone on the fastest server, so
+//! `Instance::makespan_lower_bound` bounds every fresh solution. When
+//! even that bound does not get under the hysteresis bar (`current
+//! makespan × threshold`), the solve would certainly be rejected, and the
+//! tick returns no moves without running it. The decision is the same either way; only
+//! the cost differs. Failures, recoveries, the initial packing and a
+//! current assignment that homes a set on a dead server always solve.
 
 use crate::assign::diff_moves;
 use crate::lpt::Instance;
@@ -114,15 +124,21 @@ impl PlacementPolicy for Prescient {
         let current_valid = assignment
             .values()
             .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
-        let fresh = inst.solve();
-        if current_valid && assignment.len() == fresh.len() {
+        if current_valid && assignment.len() == inst.demands.len() {
             let cur_span = inst.makespan(assignment);
-            let new_span = inst.makespan(&fresh);
-            if new_span >= cur_span * self.improvement_threshold {
+            let bar = cur_span * self.improvement_threshold;
+            // No packing beats the lower bound, so when even the bound does
+            // not get under the bar the fresh solve would be rejected too.
+            if inst.makespan_lower_bound() >= bar {
+                return Vec::new();
+            }
+            let fresh = inst.solve();
+            if inst.makespan(&fresh) >= bar {
                 return Vec::new(); // not enough improvement to pay migration
             }
+            return diff_moves(assignment, &fresh);
         }
-        diff_moves(assignment, &fresh)
+        diff_moves(assignment, &inst.solve())
     }
 
     fn on_fail(
@@ -151,7 +167,9 @@ impl PlacementPolicy for Prescient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anu_workload::{CostModel, SyntheticConfig, WeightDist};
+    use anu_cluster::ClusterConfig;
+    use anu_des::RngStream;
+    use anu_workload::{CostModel, DfsLikeConfig, SyntheticConfig, WeightDist};
 
     fn workload() -> Workload {
         SyntheticConfig {
@@ -237,5 +255,208 @@ mod tests {
             }
         }
         assert!(moves.iter().all(|m| m.to != ServerId(4)));
+    }
+
+    /// The tick rule as it stood before the lower-bound exit: always
+    /// solve, then apply the hysteresis. (The solve's refinement is checked
+    /// against the map-based reference separately, in `replay`.)
+    fn on_tick_reference(
+        p: &Prescient,
+        view: &ClusterView,
+        assignment: &Assignment,
+    ) -> Vec<MoveSet> {
+        if p.improvement_threshold <= 0.0 {
+            return Vec::new();
+        }
+        let inst = p.instance(view, view.now);
+        let current_valid = assignment
+            .values()
+            .all(|s| inst.servers.iter().any(|&(id, _)| id == *s));
+        let fresh = inst.solve();
+        if current_valid && assignment.len() == fresh.len() {
+            let cur_span = inst.makespan(assignment);
+            let new_span = inst.makespan(&fresh);
+            if new_span >= cur_span * p.improvement_threshold {
+                return Vec::new();
+            }
+        }
+        diff_moves(assignment, &fresh)
+    }
+
+    /// Replay every tick of a figure run against the reference: `on_tick`
+    /// must order exactly the always-solve rule's moves on each tick, and
+    /// on every `refine_stride`-th tick the dense refinement must match
+    /// the map-based one on that tick's instance (the reference costs
+    /// about a second per 500-set instance in a debug build). Returns how
+    /// many ticks took the lower-bound exit.
+    fn replay(mut p: Prescient, workload: &Workload, label: &str, refine_stride: u64) -> usize {
+        let cluster = ClusterConfig::paper();
+        let mut v = ClusterView {
+            servers: cluster
+                .server_ids()
+                .into_iter()
+                .map(|s| (s, true))
+                .collect(),
+            now: SimTime::ZERO,
+        };
+        let mut a = p.initial(&v, &workload.file_sets());
+        let ticks = workload.duration().0 / cluster.tick.0;
+        let mut exits = 0;
+        for k in 1..=ticks {
+            v.now = SimTime(cluster.tick.0 * k);
+            let inst = p.instance(&v, v.now);
+            if (k - 1) % refine_stride == 0 {
+                let mut dense = inst.lpt();
+                let mut reference = dense.clone();
+                inst.refine(&mut dense, 64);
+                inst.refine_reference(&mut reference, 64);
+                assert_eq!(dense, reference, "{label} tick {k}: refine diverged");
+            }
+            if inst.makespan_lower_bound() >= inst.makespan(&a) * p.improvement_threshold {
+                exits += 1;
+            }
+            let want = on_tick_reference(&p, &v, &a);
+            let got = p.on_tick(&v, &[], &a);
+            assert_eq!(got, want, "{label} tick {k}: decision diverged");
+            for m in got {
+                a.insert(m.set, m.to);
+            }
+        }
+        exits
+    }
+
+    /// Figure 8's run at `seed`: the exit must agree with the reference on
+    /// every tick, and this stationary workload is where it pays — nearly
+    /// every tick is proven useless without a solve. One test per seed so
+    /// the harness runs them in parallel.
+    fn fig8_replay(seed: u64) {
+        let cluster = ClusterConfig::paper();
+        let w = SyntheticConfig::paper(seed)
+            .with_offered_load(0.5, cluster.total_speed())
+            .generate();
+        let window = SimDuration(w.duration().0.max(cluster.tick.0));
+        let p = Prescient::new(w.clone(), speeds(), window);
+        let exits = replay(p, &w, "fig8", 20);
+        assert!(exits >= 70, "fig8 seed {seed}: only {exits} exits");
+    }
+
+    #[test]
+    fn fig8_tick_replay_seed1() {
+        fig8_replay(1);
+    }
+
+    #[test]
+    fn fig8_tick_replay_seed2() {
+        fig8_replay(2);
+    }
+
+    #[test]
+    fn fig8_tick_replay_seed3() {
+        fig8_replay(3);
+    }
+
+    #[test]
+    fn fig6_tick_replay_matches_reference() {
+        for seed in [1, 2, 3] {
+            let w = DfsLikeConfig::paper(seed).generate();
+            let tick = ClusterConfig::paper().tick;
+            replay(Prescient::new(w.clone(), speeds(), tick), &w, "fig6", 1);
+        }
+    }
+
+    #[test]
+    fn lower_bound_exit_is_sound() {
+        // Whenever the bound clears the bar, the solve it skips would have
+        // been rejected. Current assignments are solutions of a perturbed
+        // (stale) instance, the shape a tick sees, so the bound fires often.
+        let mut rng = RngStream::new(0x5e7, "prescient/exit-soundness");
+        let mut fired = 0;
+        for case in 0..400 {
+            let n_servers = 1 + rng.index(6);
+            let servers: Vec<(ServerId, f64)> = (0..n_servers)
+                .map(|i| (ServerId(i as u32), [1.0, 3.0, 5.0, 7.0, 9.0][rng.index(5)]))
+                .collect();
+            let demands: Vec<(FileSetId, f64)> = (0..1 + rng.index(60))
+                .map(|i| {
+                    let d = if rng.chance(0.2) {
+                        0.0
+                    } else {
+                        rng.bounded_pareto(1.2, 0.1, 50.0)
+                    };
+                    (FileSetId(i as u64), d)
+                })
+                .collect();
+            let stale = Instance {
+                demands: demands
+                    .iter()
+                    .map(|&(fs, d)| (fs, d * rng.uniform_range(0.7, 1.3)))
+                    .collect(),
+                servers: servers.clone(),
+            };
+            let current = stale.solve();
+            let inst = Instance { demands, servers };
+            let cur_span = inst.makespan(&current);
+            let new_span = inst.makespan(&inst.solve());
+            for threshold in [0.5, 0.9, 1.0] {
+                if inst.makespan_lower_bound() >= cur_span * threshold {
+                    fired += 1;
+                    assert!(
+                        new_span >= cur_span * threshold,
+                        "case {case}, threshold {threshold}: exit skipped an adopted solve"
+                    );
+                }
+            }
+        }
+        assert!(fired > 100, "the bound fired only {fired} times");
+    }
+
+    #[test]
+    fn lower_bound_exit_edge_cases() {
+        let w = workload();
+        let mut p = Prescient::new(w.clone(), speeds(), SimDuration::from_secs(120));
+        let a = p.initial(&view(), &w.file_sets());
+
+        // All-zero demands (a window past the end of the trace): the bound
+        // and both makespans are zero, so the tick keeps everything.
+        let mut v = view();
+        v.now = SimTime::from_secs_f64(5_000.0);
+        assert!(p.instance(&v, v.now).demands.iter().all(|&(_, d)| d == 0.0));
+        assert!(p.on_tick(&v, &[], &a).is_empty());
+        assert_eq!(on_tick_reference(&p, &v, &a), Vec::new());
+
+        // A single alive server: the current makespan is the bound (up to
+        // rounding), so no threshold lets a re-pack through.
+        let single = ClusterView {
+            servers: vec![(ServerId(2), true)],
+            now: SimTime::from_secs_f64(240.0),
+        };
+        let all_on_2: Assignment = w
+            .file_sets()
+            .into_iter()
+            .map(|fs| (fs, ServerId(2)))
+            .collect();
+        for t in [0.5, 0.9, 1.0] {
+            p.improvement_threshold = t;
+            assert!(
+                p.on_tick(&single, &[], &all_on_2).is_empty(),
+                "threshold {t}"
+            );
+            assert_eq!(on_tick_reference(&p, &single, &all_on_2), Vec::new());
+        }
+
+        // A set homed on a dead server must re-pack: the exit only applies
+        // when every home is alive.
+        p.improvement_threshold = 0.9;
+        let mut dead = view();
+        dead.servers[4].1 = false;
+        dead.now = SimTime::from_secs_f64(240.0);
+        let moves = p.on_tick(&dead, &[], &a);
+        for (fs, &s) in &a {
+            if s == ServerId(4) {
+                assert!(moves.iter().any(|m| m.set == *fs), "{fs:?} stranded");
+            }
+        }
+        assert!(moves.iter().all(|m| m.to != ServerId(4)));
+        assert_eq!(moves, on_tick_reference(&p, &dead, &a));
     }
 }
