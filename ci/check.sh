@@ -99,15 +99,29 @@ if [[ "$QUICK" == 1 ]]; then
 
     step "anu-inspect smoke: CLI reconstructs spans and passes --check"
     # A tiny handcrafted request-level trace drives the full CLI path:
-    # JSONL parse, span matching, attribution, report, exit code.
+    # JSONL parse, span matching, attribution, report, exit code. Two
+    # requests share set 7 and arrival 100 us, so every dispatch and
+    # complete keyed (7, 100) must go to the oldest open one: the first
+    # takes the dispatch at 100 and its requeue at 300, and completes at
+    # 600; the second, buffered behind the migration that lands at 250,
+    # then runs 600 -> 900. Matching them the other way round still
+    # telescopes, but attributes the 800 us request differently.
     INSPECT_TRACE="$(mktemp)"
     cat > "$INSPECT_TRACE" <<'EOF'
 {"t_us":100,"ev":"arrival","server":0,"set":7,"buffered":false}
+{"t_us":100,"ev":"arrival","server":null,"set":7,"buffered":true}
 {"t_us":100,"ev":"dispatch","server":0,"set":7,"wait_us":0}
+{"t_us":250,"ev":"migration_finish","set":7,"to":1,"buffered":1}
+{"t_us":300,"ev":"dispatch","server":1,"set":7,"wait_us":200}
 {"t_us":600,"ev":"complete","server":0,"set":7,"latency_us":500,"depth":0}
+{"t_us":600,"ev":"dispatch","server":1,"set":7,"wait_us":500}
+{"t_us":900,"ev":"complete","server":1,"set":7,"latency_us":800,"depth":0}
 {"t_us":2000,"ev":"epoch_end","epoch":0,"moves":0,"tune":null}
 EOF
-    cargo run -q -p anu-inspect -- --check "$INSPECT_TRACE" | grep -q "integrity: OK"
+    INSPECT_REPORT="$(cargo run -q -p anu-inspect -- --check "$INSPECT_TRACE")"
+    grep -q "integrity: OK" <<<"$INSPECT_REPORT"
+    grep -Eq "latency +800 us = queue 350 \+ service 300 \+ requeue 0 \+ stall 150 " <<<"$INSPECT_REPORT"
+    grep -Eq "latency +500 us = queue 0 \+ service 300 \+ requeue 200 \+ stall 0 .*2 dispatches" <<<"$INSPECT_REPORT"
     rm -f "$INSPECT_TRACE"
 
     summary

@@ -12,6 +12,8 @@
 //! * `figures` — one benchmark per paper figure (6–11) at reduced scale;
 //! * `ablations` — tuner cost per heuristic configuration, full delegate
 //!   cycles, membership-churn relocation.
+//! * `inspect` — trace read-back: `.ring` decode and span reconstruction
+//!   over a storm cell's request-level trace.
 //!
 //! Run with `cargo bench -p anu-bench`. The full-size figure *data* comes
 //! from the `figures` binary in `anu-harness`, not from these benches.

@@ -8,7 +8,22 @@
 //!   `dispatch`(es) and `complete` via the `(file set, arrival time)`
 //!   key both carry (`dispatch.t − wait_us` and `complete.t − latency_us`
 //!   recover the arrival timestamp, even across fault requeues and
-//!   migration buffering).
+//!   migration buffering). Same-set arrivals in the same microsecond
+//!   share a key and resolve first-in, first-out: an event matches the
+//!   oldest request under its key that has not completed.
+//! * **Open-request index**: the matcher keeps only requests that have
+//!   not completed. Each key maps to the head and tail of a chain of its
+//!   open spans, in arrival order, linked through one index vector: an
+//!   arrival appends to the tail, a dispatch matches the head, and a
+//!   completion matches the head and unlinks it, dropping the key when
+//!   the chain empties. The chain holds exactly the key's open spans in
+//!   arrival order, because a span enters it at its arrival and leaves
+//!   only at its completion. So its head is the first open span under
+//!   the key, and an event whose key has no chain is an orphan, whether
+//!   the key was never seen or all of its requests have completed. Cost
+//!   per event is flat, and memory follows the requests in flight rather
+//!   than the whole run. The index is hashed but never iterated, so the
+//!   analysis does not depend on the hasher.
 //! * **Latency attribution**: each completed request's end-to-end latency
 //!   is split into rebalance stall (buffered behind a migration), queue
 //!   wait, requeue-after-fault, and service time — the four parts
@@ -30,8 +45,10 @@
 use anu_core::{Json, ServerId, TuneDecision, TuneEpoch, TuneOutcome};
 use anu_des::SimTime;
 use anu_trace::{RingSink, TraceEvent, WarnCode};
-use std::collections::BTreeMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Parse a binary `.ring` dump back into `(timestamp, event)` pairs.
 /// Returns `None` for anything that is not a well-formed ring dump
@@ -371,7 +388,7 @@ pub struct EpochSummary {
 }
 
 /// Everything [`analyze`] extracts from one trace.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Analysis {
     /// Total events in the trace.
     pub events: usize,
@@ -394,6 +411,37 @@ pub struct Analysis {
     pub warnings: Vec<(u64, WarnCode, String, u64)>,
 }
 
+/// FIFO chain of the open spans that share one `(set, arrival_us)` key:
+/// `(head, tail)` span indices, linked through `analyze`'s `next` vector.
+type Chain = (usize, usize);
+
+/// Multiply-rotate hasher for the open-request index. The map is never
+/// iterated, so any hasher gives the same analysis; this one costs a few
+/// instructions per key (std's SipHash made `analyze` ~1.5× slower on a
+/// churn storm trace).
+/// Keys come from the trace, so a trace crafted to collide can slow an
+/// analysis down but cannot change its result.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; the table
+        // indexes by the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// Reconstruct request spans, attribution, integrity and timelines from
 /// a decoded event stream (see the crate docs for the matching rules).
 pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
@@ -401,13 +449,22 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
         events: events.len(),
         ..Analysis::default()
     };
-    // (set, arrival_t) → span indices in arrival order. Dispatches and
-    // completes recover the key from their payloads; collisions (two
-    // same-set arrivals in the same microsecond) resolve FIFO.
-    let mut by_key: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-    // set → migration-finish times, ascending (trace is time-ordered).
+    // The open-request index: (set, arrival_t) → the chain of spans with
+    // that key that have not completed, oldest first. Dispatches and
+    // completes recover the key from their payloads and match the head;
+    // a completion unlinks it, and an emptied chain drops its key.
+    let mut open: HashMap<(u64, u64), Chain, BuildHasherDefault<KeyHasher>> = HashMap::default();
+    // One span per arrival: size both per-span vectors exactly.
+    let arrivals = events
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::RequestArrival { .. }))
+        .count();
+    a.spans.reserve_exact(arrivals);
+    // next[i]: the span after `i` in its chain (meaningless at a tail).
+    let mut next: Vec<usize> = Vec::with_capacity(arrivals);
+    // set → migration-finish times, in trace order.
     let mut mig_finishes: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut open_markers: BTreeMap<u64, ()> = BTreeMap::new();
+    let mut open_markers: BTreeSet<u64> = BTreeSet::new();
 
     for (at, ev) in events {
         match ev {
@@ -416,7 +473,18 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
                 buffered,
                 server: _,
             } => {
-                by_key.entry((*set, at.0)).or_default().push(a.spans.len());
+                let i = a.spans.len();
+                match open.entry((*set, at.0)) {
+                    Entry::Occupied(mut chain) => {
+                        let tail = &mut chain.get_mut().1;
+                        next[*tail] = i;
+                        *tail = i;
+                    }
+                    Entry::Vacant(slot) => {
+                        slot.insert((i, i));
+                    }
+                }
+                next.push(i);
                 a.spans.push(RequestSpan {
                     set: *set,
                     arrival_us: at.0,
@@ -434,19 +502,23 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
                 set,
                 wait_us,
             } => {
-                let matched = at.0.checked_sub(*wait_us).and_then(|arr| {
-                    by_key
-                        .get(&(*set, arr))?
-                        .iter()
-                        .find(|&&i| a.spans[i].completion.is_none())
-                        .copied()
-                });
-                match matched {
-                    Some(i) => a.spans[i].dispatches.push(Dispatch {
-                        t_us: at.0,
-                        server: *server,
-                        wait_us: *wait_us,
-                    }),
+                let head =
+                    at.0.checked_sub(*wait_us)
+                        .and_then(|arr| open.get(&(*set, arr)));
+                match head {
+                    Some(&(i, _)) => {
+                        // Most requests run once: room for one dispatch,
+                        // not the four a first `push` reserves.
+                        let dispatches = &mut a.spans[i].dispatches;
+                        if dispatches.capacity() == 0 {
+                            dispatches.reserve_exact(1);
+                        }
+                        dispatches.push(Dispatch {
+                            t_us: at.0,
+                            server: *server,
+                            wait_us: *wait_us,
+                        });
+                    }
                     None => a.integrity.orphan_dispatches += 1,
                 }
             }
@@ -456,22 +528,22 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
                 latency_us,
                 depth: _,
             } => {
-                let matched = at.0.checked_sub(*latency_us).and_then(|arr| {
-                    by_key
-                        .get(&(*set, arr))?
-                        .iter()
-                        .find(|&&i| a.spans[i].completion.is_none())
-                        .copied()
-                });
-                match matched {
-                    Some(i) => {
-                        a.spans[i].completion = Some(Completion {
+                let key = at.0.checked_sub(*latency_us).map(|arr| (*set, arr));
+                match key.map(|k| open.entry(k)) {
+                    Some(Entry::Occupied(mut chain)) => {
+                        let (head, tail) = *chain.get();
+                        a.spans[head].completion = Some(Completion {
                             t_us: at.0,
                             server: *server,
                             latency_us: *latency_us,
                         });
+                        if head == tail {
+                            chain.remove();
+                        } else {
+                            chain.get_mut().0 = next[head];
+                        }
                     }
-                    None => a.integrity.orphan_completes += 1,
+                    _ => a.integrity.orphan_completes += 1,
                 }
             }
             TraceEvent::EpochEnd { epoch, moves, tune } => {
@@ -494,9 +566,9 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
                 count,
             } => a.warnings.push((at.0, *code, detail.clone(), *count)),
             TraceEvent::SpanBegin { id, .. } => {
-                open_markers.insert(*id, ());
+                open_markers.insert(*id);
             }
-            TraceEvent::SpanEnd { id } if open_markers.remove(id).is_none() => {
+            TraceEvent::SpanEnd { id } if !open_markers.remove(id) => {
                 a.integrity.orphan_span_ends += 1;
             }
             TraceEvent::SpanEnd { .. } => {}
@@ -515,7 +587,9 @@ pub fn analyze(events: &[(SimTime, TraceEvent)]) -> Analysis {
         let first_seg_end = span.dispatches.first().map_or(done.t_us, |d| d.t_us);
         if span.buffered {
             // Buffered requests stall until their set's migration lands;
-            // the first finish at or after arrival released them.
+            // the first finish at or after arrival released them. A scan,
+            // not a binary search: a hand-built stream need not be
+            // time-ordered, so the list need not be ascending.
             let released = mig_finishes
                 .get(&span.set)
                 .and_then(|ts| ts.iter().find(|&&t| t >= span.arrival_us))
@@ -690,7 +764,11 @@ impl Analysis {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::analyze_reference;
     use super::*;
 
     fn ev(t: u64, e: TraceEvent) -> (SimTime, TraceEvent) {
@@ -929,6 +1007,253 @@ mod tests {
         assert_eq!(a.integrity.orphan_span_ends, 1);
         assert_eq!(a.integrity.unclosed_spans, 1);
         assert!(!a.integrity.clean());
+    }
+
+    /// SplitMix64, the generator the simulator's seeding uses.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random request-level stream over a handful of sets and a narrow
+    /// time range, so same-set arrivals share a microsecond often. Most
+    /// dispatches and completes target an earlier arrival picked at
+    /// random: that re-dispatches requests, completes them out of arrival
+    /// order and hits keys whose requests already completed. The rest are
+    /// random (mostly orphans). With `ordered` false the timestamps are
+    /// not monotone.
+    fn random_stream(state: &mut u64, ordered: bool) -> Vec<(SimTime, TraceEvent)> {
+        let sets = 1 + next(state) % 3;
+        let mut clock = 0u64;
+        let mut arrivals: Vec<(u64, u64)> = Vec::new();
+        let mut out = Vec::new();
+        for _ in 0..next(state) % 80 {
+            clock += next(state) % 3;
+            let t = if ordered { clock } else { next(state) % 40 };
+            // (t, set, offset back to the arrival) for a dispatch/complete.
+            let target = |state: &mut u64| match arrivals.len() as u64 {
+                n if n > 0 && !next(state).is_multiple_of(5) => {
+                    let (set, arr) = arrivals[(next(state) % n) as usize];
+                    let t = if ordered {
+                        clock
+                    } else {
+                        arr + next(state) % 6
+                    };
+                    (t, set, t - arr)
+                }
+                _ => (t, next(state) % sets, next(state) % 12),
+            };
+            let e = match next(state) % 12 {
+                0..=2 => {
+                    let set = next(state) % sets;
+                    arrivals.push((set, t));
+                    ev(
+                        t,
+                        TraceEvent::RequestArrival {
+                            server: next(state).is_multiple_of(2).then_some(0),
+                            set,
+                            buffered: next(state).is_multiple_of(3),
+                        },
+                    )
+                }
+                3..=5 => {
+                    let (t, set, wait_us) = target(state);
+                    ev(
+                        t,
+                        TraceEvent::RequestDispatch {
+                            server: (next(state) % 4) as u32,
+                            set,
+                            wait_us,
+                        },
+                    )
+                }
+                6..=8 => {
+                    let (t, set, latency_us) = target(state);
+                    ev(
+                        t,
+                        TraceEvent::RequestComplete {
+                            server: (next(state) % 4) as u32,
+                            set,
+                            latency_us,
+                            depth: 0,
+                        },
+                    )
+                }
+                9 => ev(
+                    t,
+                    TraceEvent::MigrationFinish {
+                        set: next(state) % sets,
+                        to: 1,
+                        buffered: 0,
+                    },
+                ),
+                10 => ev(
+                    t,
+                    TraceEvent::SpanBegin {
+                        id: next(state) % 4,
+                        parent: None,
+                        label: "s".into(),
+                    },
+                ),
+                _ => ev(
+                    t,
+                    TraceEvent::SpanEnd {
+                        id: next(state) % 4,
+                    },
+                ),
+            };
+            out.push(e);
+        }
+        out
+    }
+
+    #[test]
+    fn index_matches_reference_on_random_streams() {
+        // Cases that hit each shape the index must get right.
+        let mut same_key = 0;
+        let mut out_of_order = 0;
+        let mut requeued = 0;
+        let mut orphan_dispatch = 0;
+        let mut orphan_complete = 0;
+        let mut after_done = 0;
+        let mut multi_finish_buffered = 0;
+        let mut unordered = 0;
+        let mut state = 0x1d_2003;
+        for case in 0..4000 {
+            let ordered = case % 2 == 0;
+            let events = random_stream(&mut state, ordered);
+            let want = analyze_reference(&events);
+            assert_eq!(analyze(&events), want, "case {case}: {events:?}");
+
+            let spans = &want.spans;
+            let done: Vec<&RequestSpan> = spans.iter().filter(|s| s.completion.is_some()).collect();
+            same_key += usize::from(spans.iter().enumerate().any(|(i, a)| {
+                spans[i + 1..]
+                    .iter()
+                    .any(|b| (a.set, a.arrival_us) == (b.set, b.arrival_us))
+            }));
+            out_of_order += usize::from(
+                done.windows(2)
+                    .any(|w| w[1].completion.map(|c| c.t_us) < w[0].completion.map(|c| c.t_us)),
+            );
+            requeued += usize::from(spans.iter().any(|s| s.dispatches.len() > 1));
+            orphan_dispatch += usize::from(want.integrity.orphan_dispatches > 0);
+            orphan_complete += usize::from(want.integrity.orphan_completes > 0);
+            // In a time-ordered stream every arrival precedes the events
+            // that name it, so a complete whose key some span carries but
+            // that still went unmatched came after that key's spans had all
+            // completed.
+            let keyed_completes = events
+                .iter()
+                .filter(|(at, e)| match e {
+                    TraceEvent::RequestComplete {
+                        set, latency_us, ..
+                    } => at.0.checked_sub(*latency_us).is_some_and(|arr| {
+                        spans.iter().any(|s| (s.set, s.arrival_us) == (*set, arr))
+                    }),
+                    _ => false,
+                })
+                .count();
+            after_done += usize::from(ordered && keyed_completes > done.len());
+            multi_finish_buffered += usize::from(done.iter().any(|s| {
+                s.buffered
+                    && events
+                        .iter()
+                        .filter(|(_, e)| {
+                            matches!(e, TraceEvent::MigrationFinish { set, .. } if *set == s.set)
+                        })
+                        .count()
+                        > 1
+            }));
+            unordered += usize::from(events.windows(2).any(|w| w[1].0 < w[0].0));
+        }
+        for (what, n) in [
+            ("same-set arrivals in one microsecond", same_key),
+            ("completions out of arrival order", out_of_order),
+            ("requeued requests", requeued),
+            ("orphan dispatches", orphan_dispatch),
+            ("orphan completes", orphan_complete),
+            ("completes after their key's spans completed", after_done),
+            (
+                "buffered spans with several finishes per set",
+                multi_finish_buffered,
+            ),
+            ("non-time-ordered streams", unordered),
+        ] {
+            assert!(n >= 50, "only {n} cases with {what}");
+        }
+    }
+
+    #[test]
+    fn same_microsecond_requests_resolve_fifo() {
+        let arrival = |t| {
+            ev(
+                t,
+                TraceEvent::RequestArrival {
+                    server: Some(0),
+                    set: 7,
+                    buffered: false,
+                },
+            )
+        };
+        let dispatch = |t, wait_us| {
+            ev(
+                t,
+                TraceEvent::RequestDispatch {
+                    server: 0,
+                    set: 7,
+                    wait_us,
+                },
+            )
+        };
+        let complete = |t, latency_us| {
+            ev(
+                t,
+                TraceEvent::RequestComplete {
+                    server: 0,
+                    set: 7,
+                    latency_us,
+                    depth: 0,
+                },
+            )
+        };
+        let events = vec![
+            arrival(100),
+            arrival(100),
+            arrival(100),
+            dispatch(100, 0),
+            dispatch(150, 50),
+            complete(200, 100),
+            dispatch(200, 100),
+            complete(300, 200),
+            // The first two requests keyed (7, 100) have completed; the third is
+            // still open, so these match it...
+            dispatch(300, 200),
+            complete(400, 300),
+            // ...and once it completes the key is gone: orphans.
+            dispatch(500, 400),
+            complete(500, 400),
+        ];
+        let a = analyze(&events);
+        assert_eq!(a, analyze_reference(&events));
+        let dispatches: Vec<usize> = a.spans.iter().map(|s| s.dispatches.len()).collect();
+        assert_eq!(
+            dispatches,
+            [2, 1, 1],
+            "the oldest open request takes each dispatch"
+        );
+        let done: Vec<u64> = a
+            .spans
+            .iter()
+            .filter_map(|s| s.completion.map(|c| c.t_us))
+            .collect();
+        assert_eq!(done, [200, 300, 400]);
+        assert_eq!(a.integrity.orphan_dispatches, 1);
+        assert_eq!(a.integrity.orphan_completes, 1);
+        assert_eq!(a.integrity.attribution_mismatches, 0);
     }
 
     #[test]

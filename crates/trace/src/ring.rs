@@ -183,8 +183,15 @@ impl RingSink {
         self.records += 1;
     }
 
-    /// Decode record `idx` back into its event value and timestamp.
-    fn decode_record(&self, words: [u64; WORDS_PER_RECORD]) -> (SimTime, TraceEvent) {
+    /// Every record's words, in emission order.
+    fn records_words(&self) -> impl Iterator<Item = &[u64]> {
+        self.segs
+            .iter()
+            .flat_map(|seg| seg.chunks_exact(WORDS_PER_RECORD))
+    }
+
+    /// Decode one record's words back into its event value and timestamp.
+    fn decode_record(&self, words: &[u64]) -> (SimTime, TraceEvent) {
         let tag = words[0] & 0xFF;
         let some = words[0] & FLAG_SOME != 0;
         let at = SimTime(words[1]);
@@ -269,10 +276,9 @@ impl RingSink {
 
     /// Decode every record back to `(timestamp, event)`, in emission order.
     pub fn decode_events(&self) -> Vec<(SimTime, TraceEvent)> {
-        (0..self.records)
-            .filter_map(|i| self.record_words(i))
-            .map(|w| self.decode_record(w))
-            .collect()
+        let mut out = Vec::with_capacity(self.records);
+        out.extend(self.records_words().map(|w| self.decode_record(w)));
+        out
     }
 
     /// Render every record as its canonical JSONL line, in emission order.
@@ -280,13 +286,12 @@ impl RingSink {
     ///
     /// [`JsonlBuffer`]: crate::JsonlBuffer
     pub fn decode_lines(&self) -> Vec<String> {
-        (0..self.records)
-            .filter_map(|i| self.record_words(i))
-            .map(|w| {
-                let (at, ev) = self.decode_record(w);
-                render_line(at, &ev)
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.records);
+        out.extend(self.records_words().map(|w| {
+            let (at, ev) = self.decode_record(w);
+            render_line(at, &ev)
+        }));
+        out
     }
 
     /// Consume the sink, yielding the rendered JSONL lines.
@@ -304,8 +309,10 @@ impl RingSink {
     /// decision. All words little-endian `u64`; no I/O happens here —
     /// callers own the file write.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity((6 + self.records * WORDS_PER_RECORD) * 8 + self.text.len() + 8);
+        let tune_words: usize = self.tunes.iter().map(|t| 3 + 6 * t.decisions.len()).sum();
+        let mut out = Vec::with_capacity(
+            (6 + self.records * WORDS_PER_RECORD + tune_words) * 8 + self.text.len() + 8,
+        );
         let word = |buf: &mut Vec<u8>, w: u64| buf.extend_from_slice(&w.to_le_bytes());
         word(&mut out, RING_MAGIC);
         word(&mut out, RING_VERSION);
@@ -313,12 +320,8 @@ impl RingSink {
         word(&mut out, self.records as u64);
         word(&mut out, self.text.len() as u64);
         word(&mut out, self.tunes.len() as u64);
-        for i in 0..self.records {
-            if let Some(words) = self.record_words(i) {
-                for w in words {
-                    word(&mut out, w);
-                }
-            }
+        for &w in self.segs.iter().flatten() {
+            word(&mut out, w);
         }
         out.extend_from_slice(&self.text);
         while out.len() % 8 != 0 {
@@ -364,27 +367,41 @@ impl RingSink {
 
         // Records, re-chunked into fixed-capacity segments so the rebuilt
         // sink honors the same never-reallocate invariant as a live one.
-        let mut segs = vec![Vec::with_capacity(SEG_WORDS)];
-        for i in 0..records {
-            if i > 0 && i % SEG_RECORDS == 0 {
-                segs.push(Vec::with_capacity(SEG_WORDS));
+        // One pass checks every tag and every tune reference (it must land
+        // inside the side table, or `decode_record` would index out of
+        // bounds) while it copies the words.
+        const RECORD_BYTES: usize = WORDS_PER_RECORD * 8;
+        let region = cur.take(records.checked_mul(RECORD_BYTES)?)?;
+        let mut segs = Vec::with_capacity(records.div_ceil(SEG_RECORDS).max(1));
+        for seg_bytes in region.chunks(SEG_WORDS * 8) {
+            let mut seg = Vec::with_capacity(SEG_WORDS);
+            for rec in seg_bytes.chunks_exact(RECORD_BYTES) {
+                let mut w = [0u64; WORDS_PER_RECORD];
+                for (word, b) in w.iter_mut().zip(rec.chunks_exact(8)) {
+                    *word = u64::from_le_bytes(b.try_into().ok()?);
+                }
+                let tag = w[0] & 0xFF;
+                if tag > TAG_SPAN_END
+                    || (tag == TAG_EPOCH_END
+                        && w[0] & FLAG_SOME != 0
+                        && !usize::try_from(w[4]).is_ok_and(|i| i < n_tunes))
+                {
+                    return None;
+                }
+                seg.extend_from_slice(&w);
             }
-            let mut rec = [0u64; WORDS_PER_RECORD];
-            for w in &mut rec {
-                *w = cur.word()?;
-            }
-            if rec[0] & 0xFF > TAG_SPAN_END {
-                return None;
-            }
-            if let Some(seg) = segs.last_mut() {
-                seg.extend_from_slice(&rec);
-            }
+            segs.push(seg);
+        }
+        if segs.is_empty() {
+            segs.push(Vec::with_capacity(SEG_WORDS));
         }
 
         let text = cur.take(text_len)?.to_vec();
         cur.at += (8 - cur.at % 8) % 8;
 
-        let mut tunes = Vec::with_capacity(n_tunes);
+        // Every flattened tune takes at least three words, so the count
+        // the header claims cannot outrun the bytes that carry it.
+        let mut tunes = Vec::with_capacity(n_tunes.min(bytes.len() / 24));
         for _ in 0..n_tunes {
             let mu_ms = f64::from_bits(cur.word()?);
             let planned = cur.word()? != 0;
@@ -407,25 +424,13 @@ impl RingSink {
             });
         }
 
-        let sink = RingSink {
+        Some(RingSink {
             level,
             segs,
             records,
             text,
             tunes,
-        };
-        // Integrity pass: every EpochEnd tune reference must land inside
-        // the side table, or `decode_record` would index out of bounds.
-        for i in 0..records {
-            let words = sink.record_words(i)?;
-            if words[0] & 0xFF == TAG_EPOCH_END
-                && words[0] & FLAG_SOME != 0
-                && words[4] as usize >= sink.tunes.len()
-            {
-                return None;
-            }
-        }
-        Some(sink)
+        })
     }
 }
 
