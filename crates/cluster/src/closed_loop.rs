@@ -157,7 +157,7 @@ pub fn run_closed_loop_traced(
     // O(1) weighted file-set selection per issue, regardless of set count.
     let sampler = AliasTable::new(&weights);
 
-    let mut cal: Calendar<Event> = Calendar::with_backend(cluster.queue);
+    let mut cal: Calendar<Event> = Calendar::new();
     // Dense server table: one Vec index per interned id, no ordered-map
     // lookups on the per-event path.
     let server_ids = Interner::new(cluster.servers.iter().map(|s| s.id).collect());

@@ -2,7 +2,7 @@
 
 use crate::autoscaler::AutoscalerConfig;
 use anu_core::ServerId;
-use anu_des::{EventQueueKind, SimDuration, SimTime};
+use anu_des::{SimDuration, SimTime};
 
 /// One metadata server's static description.
 ///
@@ -234,11 +234,6 @@ pub struct ClusterConfig {
     pub autoscaler: Option<AutoscalerConfig>,
     /// Deterministic load shedding at a per-server queue ceiling, if any.
     pub shed: Option<ShedConfig>,
-    /// Event-queue backend the run's [`anu_des::Calendar`] uses. Both
-    /// backends pop the identical `(time, seq)` order — this selects
-    /// performance characteristics, never results (held by the
-    /// scale-equivalence fingerprints over both).
-    pub queue: EventQueueKind,
 }
 
 impl ClusterConfig {
@@ -262,7 +257,6 @@ impl ClusterConfig {
             faults: Vec::new(),
             autoscaler: None,
             shed: None,
-            queue: EventQueueKind::default(),
         }
     }
 

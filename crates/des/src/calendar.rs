@@ -14,30 +14,12 @@
 //! ever scheduled — and the pop order is exactly the `(time, seq)` total
 //! order regardless of the bookkeeping structure.
 //!
-//! ## Queue backends
-//!
-//! Two interchangeable priority-queue implementations sit behind the same
-//! [`Calendar`] API, selected by [`EventQueueKind`]:
-//!
-//! * **Binary heap** — `std::collections::BinaryHeap` of `(time, seq)`
-//!   entries, payloads inline. O(log n) schedule/pop.
-//! * **Calendar queue** — the classic Brown calendar queue: a ring of
-//!   time buckets of power-of-two width, each bucket a small vector kept
-//!   sorted in descending `(time, seq)` order so the minimum pops from
-//!   the tail in O(1). Payloads are arena-allocated in a slot vector with
-//!   a free list, so scheduling recycles storage instead of allocating.
-//!   The queue resizes (rebuilding buckets and re-estimating the bucket
-//!   width from the live event spacing) when occupancy leaves the
-//!   efficient band, and purges tombstones as it does so. Amortized O(1)
-//!   schedule/pop when event times are roughly uniform in the bucket
-//!   window, with a full-rotation fallback that jumps the scan window
-//!   straight to the global minimum when the calendar goes sparse.
-//!
-//! Both backends pop the exact same `(time, seq)` total order — the
-//! cross-backend property test below and the scale-equivalence
-//! fingerprint suite hold them observationally identical. Benchmarks at
-//! `--scale 100` pick the default (see `EXPERIMENTS.md`); the simulation
-//! configs select a backend per run via `ClusterConfig`.
+//! The queue itself is a `std::collections::BinaryHeap` of `(time, seq)`
+//! entries with payloads inline: O(log n) schedule and pop. Pending sets
+//! average tens to a few hundred events (about 3,000 at peak at
+//! `--scale 20`), where the heap's small constant factor outran a
+//! bucketed calendar queue on the paper and scale workloads (see "One
+//! event queue" in `EXPERIMENTS.md`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -46,44 +28,6 @@ use std::collections::binary_heap::BinaryHeap;
 /// Handle to a scheduled event, usable to cancel it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventHandle(u64);
-
-/// Which priority-queue implementation a [`Calendar`] runs on.
-///
-/// The default is the binary heap: at the paper's configurations the
-/// pending-event set is small (one chained arrival, a handful of
-/// completions, a tick), where the heap's tiny constant factor wins — see
-/// the event-queue benchmark table in `EXPERIMENTS.md`. The calendar
-/// queue is kept as a config-selectable alternative for workloads with
-/// large pending sets, held to the same fingerprints by the
-/// scale-equivalence suite.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EventQueueKind {
-    /// `std::collections::BinaryHeap` future-event list (O(log n)).
-    #[default]
-    BinaryHeap,
-    /// Arena-allocated calendar queue (bucketed time ring, amortized O(1)).
-    CalendarQueue,
-}
-
-impl EventQueueKind {
-    /// Stable lowercase name, used in manifests and `--queue`.
-    pub fn name(self) -> &'static str {
-        match self {
-            EventQueueKind::BinaryHeap => "binary-heap",
-            EventQueueKind::CalendarQueue => "calendar-queue",
-        }
-    }
-
-    /// Parse a `--queue` argument (accepts the short forms `heap` and
-    /// `calendar` too).
-    pub fn parse(s: &str) -> Option<EventQueueKind> {
-        match s {
-            "binary-heap" | "heap" => Some(EventQueueKind::BinaryHeap),
-            "calendar-queue" | "calendar" => Some(EventQueueKind::CalendarQueue),
-            _ => None,
-        }
-    }
-}
 
 struct Entry<E> {
     time: SimTime,
@@ -119,264 +63,6 @@ fn bit_is_live(live: &[u64], seq: u64) -> bool {
     live.get(word).is_some_and(|w| w & (1 << bit) != 0)
 }
 
-/// One bucket entry of the calendar queue: the ordering key plus the
-/// arena slot holding the payload.
-#[derive(Clone, Copy)]
-struct BucketEntry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl BucketEntry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// Smallest bucket ring the calendar queue shrinks to.
-const MIN_BUCKETS: usize = 16;
-/// Largest bucket ring it grows to (2^20 buckets ≈ 24 MiB of entries).
-const MAX_BUCKETS: usize = 1 << 20;
-/// Bucket widths are `1 << shift` µs; capped so `vt` arithmetic stays
-/// far from overflow at any simulated horizon.
-const MAX_WIDTH_SHIFT: u32 = 40;
-
-/// The calendar-queue backend: a ring of power-of-two-width time buckets
-/// over an arena of payload slots.
-struct BucketQueue<E> {
-    /// Payload arena, indexed by [`BucketEntry::slot`]; freed slots are
-    /// recycled through `free` so steady-state scheduling never allocates.
-    slots: Vec<Option<E>>,
-    /// Recyclable arena slots.
-    free: Vec<u32>,
-    /// The bucket ring; `buckets.len()` is a power of two. Each bucket is
-    /// sorted in descending `(time, seq)` order: the minimum is at the
-    /// tail, so popping it is O(1).
-    buckets: Vec<Vec<BucketEntry>>,
-    /// `buckets.len() - 1`, for masking virtual bucket indices.
-    mask: usize,
-    /// Bucket width is `1 << shift` microseconds.
-    shift: u32,
-    /// Virtual index (`time >> shift`) of the bucket window the scan
-    /// cursor is on. Invariant: no live entry has a smaller virtual
-    /// index — inserts behind the cursor pull it back.
-    cur_vt: u64,
-    /// Stored entries, tombstones included (resize bookkeeping).
-    entries: usize,
-}
-
-impl<E> BucketQueue<E> {
-    fn new() -> Self {
-        BucketQueue {
-            slots: Vec::new(),
-            free: Vec::new(),
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS - 1,
-            // 2^10 µs ≈ 1 ms buckets to start; rebuilds re-estimate.
-            shift: 10,
-            cur_vt: 0,
-            entries: 0,
-        }
-    }
-
-    /// Exclusive upper time bound of the current bucket window.
-    #[inline]
-    fn cur_top(&self) -> u64 {
-        (self.cur_vt + 1) << self.shift
-    }
-
-    /// Store `payload` in the arena and file its entry in the right
-    /// bucket. `live` is only read if the insert triggers a resize.
-    fn insert(&mut self, time: SimTime, seq: u64, payload: E, live: &[u64]) {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(payload);
-                s
-            }
-            None => {
-                self.slots.push(Some(payload));
-                self.slots.len() as u32 - 1
-            }
-        };
-        let vt = time.0 >> self.shift;
-        // An insert behind the scan cursor (possible after a peek walked
-        // the cursor forward to a far-future event) pulls the window back
-        // so the new minimum is found first.
-        if vt < self.cur_vt {
-            self.cur_vt = vt;
-        }
-        let b = (vt as usize) & self.mask;
-        let entry = BucketEntry { time, seq, slot };
-        // Descending order: count entries with a strictly larger key and
-        // insert there. Appends at the front of time (common case: far
-        // future) binary-search to the head; the true common case —
-        // near-future times in a mostly-empty bucket — costs O(1).
-        let pos = self.buckets[b].partition_point(|e| e.key() > entry.key());
-        self.buckets[b].insert(pos, entry);
-        self.entries += 1;
-        if self.entries > self.buckets.len() * 2 && self.buckets.len() < MAX_BUCKETS {
-            self.rebuild(live);
-        }
-    }
-
-    /// Remove and return the globally minimal live entry, dropping any
-    /// tombstones encountered on the way. Returns `None` only when no
-    /// live entry exists.
-    fn pop_min(&mut self, live: &[u64]) -> Option<(SimTime, u64, E)> {
-        let mut scanned = 0usize;
-        loop {
-            let top = self.cur_top();
-            let b = (self.cur_vt as usize) & self.mask;
-            while let Some(e) = self.buckets[b].last().copied() {
-                if e.time.0 >= top {
-                    break; // belongs to a later lap of the ring
-                }
-                self.buckets[b].pop();
-                self.entries -= 1;
-                let payload = self.slots[e.slot as usize].take();
-                self.free.push(e.slot);
-                if let (true, Some(p)) = (bit_is_live(live, e.seq), payload) {
-                    self.maybe_shrink(live);
-                    return Some((e.time, e.seq, p));
-                }
-                // Tombstone (or already-freed slot): drop and keep going.
-            }
-            self.cur_vt += 1;
-            scanned += 1;
-            if scanned > self.buckets.len() {
-                // A full rotation found nothing in-window: the calendar
-                // went sparse. Jump the cursor straight to the global
-                // minimum live entry (and purge tombstones while here).
-                match self.compact_and_min(live) {
-                    Some(min_time) => {
-                        self.cur_vt = min_time.0 >> self.shift;
-                        scanned = 0;
-                    }
-                    None => return None,
-                }
-            }
-        }
-    }
-
-    /// Time of the globally minimal live entry without removing it.
-    /// Advances the scan cursor and drops dead tails like [`pop_min`].
-    fn peek_min(&mut self, live: &[u64]) -> Option<SimTime> {
-        let mut scanned = 0usize;
-        loop {
-            let top = self.cur_top();
-            let b = (self.cur_vt as usize) & self.mask;
-            while let Some(e) = self.buckets[b].last().copied() {
-                if e.time.0 >= top {
-                    break;
-                }
-                if bit_is_live(live, e.seq) {
-                    return Some(e.time);
-                }
-                self.buckets[b].pop();
-                self.entries -= 1;
-                self.slots[e.slot as usize] = None;
-                self.free.push(e.slot);
-            }
-            self.cur_vt += 1;
-            scanned += 1;
-            if scanned > self.buckets.len() {
-                match self.compact_and_min(live) {
-                    Some(min_time) => {
-                        self.cur_vt = min_time.0 >> self.shift;
-                        scanned = 0;
-                    }
-                    None => return None,
-                }
-            }
-        }
-    }
-
-    /// Shrink the ring when live occupancy falls well below it.
-    fn maybe_shrink(&mut self, live: &[u64]) {
-        if self.buckets.len() > MIN_BUCKETS && self.entries * 4 < self.buckets.len() {
-            self.rebuild(live);
-        }
-    }
-
-    /// Drop every tombstoned entry and return the minimal live time.
-    fn compact_and_min(&mut self, live: &[u64]) -> Option<SimTime> {
-        let mut min: Option<(SimTime, u64)> = None;
-        let (slots, free) = (&mut self.slots, &mut self.free);
-        for bucket in &mut self.buckets {
-            bucket.retain(|e| {
-                if bit_is_live(live, e.seq) {
-                    if min.is_none_or(|m| e.key() < m) {
-                        min = Some(e.key());
-                    }
-                    true
-                } else {
-                    slots[e.slot as usize] = None;
-                    free.push(e.slot);
-                    false
-                }
-            });
-        }
-        self.entries = self.buckets.iter().map(Vec::len).sum();
-        min.map(|(t, _)| t)
-    }
-
-    /// Rebuild the ring: purge tombstones, size the ring to the live
-    /// population, and re-estimate the bucket width from the live event
-    /// spacing. Deterministic — every input is queue state.
-    fn rebuild(&mut self, live: &[u64]) {
-        let mut all: Vec<BucketEntry> = Vec::with_capacity(self.entries);
-        let (slots, free) = (&mut self.slots, &mut self.free);
-        for bucket in &mut self.buckets {
-            for e in bucket.drain(..) {
-                if bit_is_live(live, e.seq) {
-                    all.push(e);
-                } else {
-                    slots[e.slot as usize] = None;
-                    free.push(e.slot);
-                }
-            }
-        }
-        let n = all.len().max(1);
-        let nbuckets = n.next_power_of_two().clamp(MIN_BUCKETS, MAX_BUCKETS);
-        if self.buckets.len() != nbuckets {
-            self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-            self.mask = nbuckets - 1;
-        }
-        // Width ≈ the mean spacing of live events, rounded to a power of
-        // two: each bucket window then holds O(1) events.
-        let (min_t, max_t) = all.iter().fold((u64::MAX, 0u64), |(lo, hi), e| {
-            (lo.min(e.time.0), hi.max(e.time.0))
-        });
-        let gap = if all.is_empty() {
-            1
-        } else {
-            ((max_t - min_t) / n as u64).max(1)
-        };
-        self.shift = (64 - gap.leading_zeros() - 1).min(MAX_WIDTH_SHIFT);
-        // Re-anchor the cursor on the minimum; the invariant (no live
-        // entry below the cursor window) holds by construction.
-        self.cur_vt = if all.is_empty() {
-            0
-        } else {
-            min_t >> self.shift
-        };
-        self.entries = all.len();
-        for e in all {
-            let b = ((e.time.0 >> self.shift) as usize) & self.mask;
-            let pos = self.buckets[b].partition_point(|x| x.key() > e.key());
-            self.buckets[b].insert(pos, e);
-        }
-    }
-}
-
-/// The two interchangeable queue implementations.
-enum Backend<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Bucket(BucketQueue<E>),
-}
-
 /// The future-event list of a simulation.
 ///
 /// The calendar tracks the current simulated time: popping an event
@@ -384,7 +70,7 @@ enum Backend<E> {
 /// logic error and panics in debug builds (it silently clamps to `now` in
 /// release builds, which is always safe for causality).
 pub struct Calendar<E> {
-    backend: Backend<E>,
+    heap: BinaryHeap<Entry<E>>,
     now: SimTime,
     next_seq: u64,
     /// One liveness bit per seq ever assigned: set while the event is
@@ -400,7 +86,7 @@ pub struct Calendar<E> {
 
 /// Lifetime statistics of a [`Calendar`], exported through the metrics
 /// registry. Pure bookkeeping over the event stream — identical for a
-/// traced and an untraced run, and across queue backends.
+/// traced and an untraced run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CalendarStats {
     /// Total events ever scheduled.
@@ -420,19 +106,10 @@ impl<E> Default for Calendar<E> {
 }
 
 impl<E> Calendar<E> {
-    /// An empty calendar at time zero on the default backend.
+    /// An empty calendar at time zero.
     pub fn new() -> Self {
-        Self::with_backend(EventQueueKind::default())
-    }
-
-    /// An empty calendar at time zero on the chosen queue backend.
-    pub fn with_backend(kind: EventQueueKind) -> Self {
-        let backend = match kind {
-            EventQueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            EventQueueKind::CalendarQueue => Backend::Bucket(BucketQueue::new()),
-        };
         Calendar {
-            backend,
+            heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
             live: Vec::new(),
@@ -441,14 +118,6 @@ impl<E> Calendar<E> {
             fired: 0,
             cancelled: 0,
             max_pending: 0,
-        }
-    }
-
-    /// The queue backend this calendar runs on.
-    pub fn backend_kind(&self) -> EventQueueKind {
-        match self.backend {
-            Backend::Heap(_) => EventQueueKind::BinaryHeap,
-            Backend::Bucket(_) => EventQueueKind::CalendarQueue,
         }
     }
 
@@ -516,14 +185,11 @@ impl<E> Calendar<E> {
         self.live[word] |= 1 << (seq % 64);
         self.live_count += 1;
         self.max_pending = self.max_pending.max(self.live_count);
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Entry {
-                time: at,
-                seq,
-                payload,
-            }),
-            Backend::Bucket(q) => q.insert(at, seq, payload, &self.live),
-        }
+        self.heap.push(Entry {
+            time: at,
+            seq,
+            payload,
+        });
         EventHandle(seq)
     }
 
@@ -536,58 +202,32 @@ impl<E> Calendar<E> {
         was_live
     }
 
+    /// Drop tombstoned entries from the top of the heap.
+    #[inline]
+    fn skip_dead(&mut self) {
+        while let Some(e) = self.heap.peek() {
+            if bit_is_live(&self.live, e.seq) {
+                break;
+            }
+            self.heap.pop(); // tombstoned by a cancel
+        }
+    }
+
     /// Pop the earliest live event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                while let Some(e) = heap.peek() {
-                    if !bit_is_live(&self.live, e.seq) {
-                        heap.pop(); // tombstoned by a cancel
-                        continue;
-                    }
-                    break;
-                }
-                let e = heap.pop()?;
-                self.take_live(e.seq);
-                debug_assert!(e.time >= self.now);
-                self.now = e.time;
-                self.fired += 1;
-                Some((e.time, e.payload))
-            }
-            Backend::Bucket(q) => {
-                if self.live_count == 0 {
-                    return None;
-                }
-                let (time, seq, payload) = q.pop_min(&self.live)?;
-                self.take_live(seq);
-                debug_assert!(time >= self.now);
-                self.now = time;
-                self.fired += 1;
-                Some((time, payload))
-            }
-        }
+        self.skip_dead();
+        let e = self.heap.pop()?;
+        self.take_live(e.seq);
+        debug_assert!(e.time >= self.now);
+        self.now = e.time;
+        self.fired += 1;
+        Some((e.time, e.payload))
     }
 
     /// Peek at the time of the earliest live event without popping.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(heap) => {
-                while let Some(e) = heap.peek() {
-                    if !bit_is_live(&self.live, e.seq) {
-                        heap.pop();
-                        continue;
-                    }
-                    return Some(e.time);
-                }
-                None
-            }
-            Backend::Bucket(q) => {
-                if self.live_count == 0 {
-                    return None;
-                }
-                q.peek_min(&self.live)
-            }
-        }
+        self.skip_dead();
+        self.heap.peek().map(|e| e.time)
     }
 }
 
@@ -595,67 +235,39 @@ impl<E> Calendar<E> {
 mod tests {
     use super::*;
 
-    const BOTH: [EventQueueKind; 2] = [EventQueueKind::BinaryHeap, EventQueueKind::CalendarQueue];
-
-    #[test]
-    fn kind_names_round_trip() {
-        for k in BOTH {
-            assert_eq!(EventQueueKind::parse(k.name()), Some(k));
-        }
-        assert_eq!(
-            EventQueueKind::parse("heap"),
-            Some(EventQueueKind::BinaryHeap)
-        );
-        assert_eq!(
-            EventQueueKind::parse("calendar"),
-            Some(EventQueueKind::CalendarQueue)
-        );
-        assert_eq!(EventQueueKind::parse("splay"), None);
-        assert_eq!(
-            Calendar::<()>::new().backend_kind(),
-            EventQueueKind::default()
-        );
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            c.schedule(SimTime(30), "c");
-            c.schedule(SimTime(10), "a");
-            c.schedule(SimTime(20), "b");
-            assert_eq!(c.pop(), Some((SimTime(10), "a")));
-            assert_eq!(c.now(), SimTime(10));
-            assert_eq!(c.pop(), Some((SimTime(20), "b")));
-            assert_eq!(c.pop(), Some((SimTime(30), "c")));
-            assert_eq!(c.pop(), None);
-        }
+        let mut c = Calendar::new();
+        c.schedule(SimTime(30), "c");
+        c.schedule(SimTime(10), "a");
+        c.schedule(SimTime(20), "b");
+        assert_eq!(c.pop(), Some((SimTime(10), "a")));
+        assert_eq!(c.now(), SimTime(10));
+        assert_eq!(c.pop(), Some((SimTime(20), "b")));
+        assert_eq!(c.pop(), Some((SimTime(30), "c")));
+        assert_eq!(c.pop(), None);
     }
 
     #[test]
     fn ties_fire_in_schedule_order() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            for i in 0..100 {
-                c.schedule(SimTime(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(c.pop(), Some((SimTime(5), i)));
-            }
+        let mut c = Calendar::new();
+        for i in 0..100 {
+            c.schedule(SimTime(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(c.pop(), Some((SimTime(5), i)));
         }
     }
 
     #[test]
     fn cancel_removes_event() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(10), "dead");
-            c.schedule(SimTime(20), "alive");
-            assert!(c.cancel(h));
-            assert_eq!(c.pending(), 1);
-            assert_eq!(c.pop(), Some((SimTime(20), "alive")));
-            assert_eq!(c.pop(), None);
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(10), "dead");
+        c.schedule(SimTime(20), "alive");
+        assert!(c.cancel(h));
+        assert_eq!(c.pending(), 1);
+        assert_eq!(c.pop(), Some((SimTime(20), "alive")));
+        assert_eq!(c.pop(), None);
     }
 
     #[test]
@@ -666,75 +278,63 @@ mod tests {
 
     #[test]
     fn cancel_fired_handle_is_noop() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(1), ());
-            c.pop();
-            assert!(!c.cancel(h));
-            assert_eq!(c.pending(), 0);
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(1), ());
+        c.pop();
+        assert!(!c.cancel(h));
+        assert_eq!(c.pending(), 0);
     }
 
     #[test]
     fn double_cancel_is_noop() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(1), ());
-            assert!(c.cancel(h));
-            assert!(!c.cancel(h));
-            assert_eq!(c.pending(), 0);
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(1), ());
+        assert!(c.cancel(h));
+        assert!(!c.cancel(h));
+        assert_eq!(c.pending(), 0);
     }
 
     #[test]
     fn peek_skips_tombstones() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(10), 1);
-            c.schedule(SimTime(20), 2);
-            c.cancel(h);
-            assert_eq!(c.peek_time(), Some(SimTime(20)));
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(10), 1);
+        c.schedule(SimTime(20), 2);
+        c.cancel(h);
+        assert_eq!(c.peek_time(), Some(SimTime(20)));
     }
 
     #[test]
     fn counters_track() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            c.schedule(SimTime(1), ());
-            c.schedule(SimTime(2), ());
-            c.pop();
-            assert_eq!(c.counters(), (2, 1));
-        }
+        let mut c = Calendar::new();
+        c.schedule(SimTime(1), ());
+        c.schedule(SimTime(2), ());
+        c.pop();
+        assert_eq!(c.counters(), (2, 1));
     }
 
     #[test]
     fn stats_track_cancelled_and_high_water() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(1), ());
-            c.schedule(SimTime(2), ());
-            c.schedule(SimTime(3), ());
-            assert!(c.cancel(h));
-            assert!(!c.cancel(h), "double-cancel counts once");
-            c.pop();
-            let s = c.stats();
-            assert_eq!(
-                (s.scheduled, s.fired, s.cancelled, s.max_pending),
-                (3, 1, 1, 3)
-            );
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(1), ());
+        c.schedule(SimTime(2), ());
+        c.schedule(SimTime(3), ());
+        assert!(c.cancel(h));
+        assert!(!c.cancel(h), "double-cancel counts once");
+        c.pop();
+        let s = c.stats();
+        assert_eq!(
+            (s.scheduled, s.fired, s.cancelled, s.max_pending),
+            (3, 1, 1, 3)
+        );
     }
 
     #[test]
     fn is_empty_accounts_for_dead() {
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            let h = c.schedule(SimTime(1), ());
-            assert!(!c.is_empty());
-            c.cancel(h);
-            assert!(c.is_empty());
-        }
+        let mut c = Calendar::new();
+        let h = c.schedule(SimTime(1), ());
+        assert!(!c.is_empty());
+        c.cancel(h);
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -749,55 +349,54 @@ mod tests {
 
     #[test]
     fn schedule_after_far_peek_still_pops_first() {
-        // A peek walks the bucket cursor to a far-future event; an insert
-        // before it must pull the cursor back (this is the window-reset
-        // path in BucketQueue::insert).
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            c.schedule(SimTime(1), "first");
-            c.schedule(SimTime(1_000_000_000), "far");
-            assert_eq!(c.pop(), Some((SimTime(1), "first")));
-            assert_eq!(c.peek_time(), Some(SimTime(1_000_000_000)));
-            c.schedule(SimTime(5), "near");
-            assert_eq!(c.pop(), Some((SimTime(5), "near")));
-            assert_eq!(c.pop(), Some((SimTime(1_000_000_000), "far")));
-        }
+        // Peeking at a far-future event must not hide an earlier event
+        // scheduled after the peek.
+        let mut c = Calendar::new();
+        c.schedule(SimTime(1), "first");
+        c.schedule(SimTime(1_000_000_000), "far");
+        assert_eq!(c.pop(), Some((SimTime(1), "first")));
+        assert_eq!(c.peek_time(), Some(SimTime(1_000_000_000)));
+        c.schedule(SimTime(5), "near");
+        assert_eq!(c.pop(), Some((SimTime(5), "near")));
+        assert_eq!(c.pop(), Some((SimTime(1_000_000_000), "far")));
     }
 
     #[test]
     fn sparse_far_jumps_terminate() {
-        // Events separated by far more than nbuckets × width exercise the
-        // full-rotation fallback (cursor jump to the global minimum).
-        for kind in BOTH {
-            let mut c = Calendar::with_backend(kind);
-            for i in 0..10u64 {
-                c.schedule(SimTime(i * 10_000_000_000), i);
-            }
-            for i in 0..10u64 {
-                assert_eq!(c.pop(), Some((SimTime(i * 10_000_000_000), i)));
-            }
-            assert_eq!(c.pop(), None);
+        // Events ten thousand simulated seconds apart pop in order and the
+        // drained calendar reports empty.
+        let mut c = Calendar::new();
+        for i in 0..10u64 {
+            c.schedule(SimTime(i * 10_000_000_000), i);
         }
+        for i in 0..10u64 {
+            assert_eq!(c.pop(), Some((SimTime(i * 10_000_000_000), i)));
+        }
+        assert_eq!(c.pop(), None);
     }
 
     #[test]
     fn backends_pop_identical_sequences_under_random_ops() {
         // Differential property test: a seeded stream of interleaved
         // schedule / cancel / pop / peek operations must produce the
-        // exact same observable sequence on both backends.
+        // exact same observable sequence on the heap backend and on an
+        // ordered-map reference keyed by `(time, schedule order)`.
         use crate::random::RngStream;
+        use std::collections::BTreeMap;
 
         for seed in 1..=10u64 {
             let mut rng = RngStream::new(seed, "calendar-differential");
-            let mut heap = Calendar::with_backend(EventQueueKind::BinaryHeap);
-            let mut cq = Calendar::with_backend(EventQueueKind::CalendarQueue);
-            let mut handles: Vec<(EventHandle, EventHandle)> = Vec::new();
+            let mut heap = Calendar::new();
+            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+            let mut model_now = SimTime::ZERO;
+            let mut model_fired = 0u64;
+            let mut handles: Vec<(EventHandle, (SimTime, u64))> = Vec::new();
             let mut log_heap: Vec<(SimTime, u64)> = Vec::new();
-            let mut log_cq: Vec<(SimTime, u64)> = Vec::new();
+            let mut log_model: Vec<(SimTime, u64)> = Vec::new();
             for op in 0..5_000u64 {
                 match rng.next_u64() % 10 {
                     // Schedule (60%): mixed near/far offsets plus exact
-                    // ties to stress same-bucket ordering.
+                    // ties to stress same-time ordering.
                     0..=5 => {
                         let offset = match rng.next_u64() % 4 {
                             0 => 0,
@@ -805,48 +404,55 @@ mod tests {
                             2 => rng.next_u64() % 100_000,
                             _ => rng.next_u64() % 10_000_000_000,
                         };
-                        let at_h = SimTime(heap.now().0 + offset);
-                        let at_c = SimTime(cq.now().0 + offset);
-                        assert_eq!(at_h, at_c, "clocks diverged before op {op}");
-                        handles.push((heap.schedule(at_h, op), cq.schedule(at_c, op)));
+                        let at = SimTime(heap.now().0 + offset);
+                        assert_eq!(
+                            at,
+                            SimTime(model_now.0 + offset),
+                            "clocks diverged before op {op}"
+                        );
+                        model.insert((at, op), op);
+                        handles.push((heap.schedule(at, op), (at, op)));
                     }
                     // Cancel a random outstanding handle (20%).
                     6 | 7 => {
                         if !handles.is_empty() {
                             let i = (rng.next_u64() % handles.len() as u64) as usize;
-                            let (hh, hc) = handles.swap_remove(i);
-                            assert_eq!(heap.cancel(hh), cq.cancel(hc));
+                            let (h, key) = handles.swap_remove(i);
+                            assert_eq!(heap.cancel(h), model.remove(&key).is_some());
                         }
                     }
                     // Pop (10%).
                     8 => {
-                        let (a, b) = (heap.pop(), cq.pop());
-                        assert_eq!(
-                            a.as_ref().map(|(t, p)| (*t, *p)),
-                            b.as_ref().map(|(t, p)| (*t, *p)),
-                            "pop diverged at op {op} (seed {seed})"
-                        );
+                        let (a, b) = (heap.pop(), model.pop_first().map(|((t, _), p)| (t, p)));
+                        assert_eq!(a, b, "pop diverged at op {op} (seed {seed})");
                         if let Some((t, p)) = a {
                             log_heap.push((t, p));
                         }
                         if let Some((t, p)) = b {
-                            log_cq.push((t, p));
+                            model_now = t;
+                            model_fired += 1;
+                            log_model.push((t, p));
                         }
                     }
                     // Peek (10%).
-                    _ => assert_eq!(heap.peek_time(), cq.peek_time(), "peek diverged at op {op}"),
+                    _ => assert_eq!(
+                        heap.peek_time(),
+                        model.keys().next().map(|&(t, _)| t),
+                        "peek diverged at op {op}"
+                    ),
                 }
-                assert_eq!(heap.pending(), cq.pending());
+                assert_eq!(heap.pending(), model.len());
             }
             // Drain both completely.
             while let Some(e) = heap.pop() {
                 log_heap.push(e);
             }
-            while let Some(e) = cq.pop() {
-                log_cq.push(e);
+            while let Some(((t, _), p)) = model.pop_first() {
+                model_fired += 1;
+                log_model.push((t, p));
             }
-            assert_eq!(log_heap, log_cq, "drain order diverged (seed {seed})");
-            assert_eq!(heap.counters(), cq.counters());
+            assert_eq!(log_heap, log_model, "drain order diverged (seed {seed})");
+            assert_eq!(heap.counters().1, model_fired);
         }
     }
 }

@@ -59,7 +59,7 @@ pub mod resource;
 pub mod stats;
 pub mod time;
 
-pub use calendar::{Calendar, CalendarStats, EventHandle, EventQueueKind};
+pub use calendar::{Calendar, CalendarStats, EventHandle};
 pub use random::{task_seed, AliasTable, RngStream, Zipf};
 pub use resource::{FifoStation, Job, StartService};
 pub use stats::{Bucket, IntervalStats, OnlineStats, TimeSeries};

@@ -1,8 +1,8 @@
 //! Model-based property tests for the DES kernel.
 //!
 //! The calendar is checked against a naive sorted-vector model under random
-//! schedule/cancel interleavings; the FIFO station against a hand-rolled
-//! queue simulation; the statistics against exact recomputation.
+//! schedule/cancel/pop/peek interleavings; the FIFO station against a
+//! hand-rolled queue simulation; the statistics against exact recomputation.
 //!
 //! Cases are generated by the kernel's own seeded [`RngStream`] so the
 //! suite is deterministic and needs no external property-test framework:
@@ -23,8 +23,11 @@ enum CalOp {
     Cancel(usize),
     /// Pop one event.
     Pop,
+    /// Peek at the earliest live time.
+    Peek,
 }
 
+/// Near-future schedule/cancel/pop mix: offsets below 1000 µs.
 fn random_ops(rng: &mut RngStream, len: usize) -> Vec<CalOp> {
     (0..len)
         .map(|_| match rng.index(3) {
@@ -35,12 +38,38 @@ fn random_ops(rng: &mut RngStream, len: usize) -> Vec<CalOp> {
         .collect()
 }
 
+/// Wide mix: 60% schedules at exact ties, short, medium and far offsets
+/// (up to 10^10 µs), 20% cancels, 10% pops, 10% peeks.
+fn wide_ops(rng: &mut RngStream, len: usize) -> Vec<CalOp> {
+    (0..len)
+        .map(|_| match rng.index(10) {
+            0..=5 => CalOp::Schedule(match rng.index(4) {
+                0 => 0,
+                1 => rng.next_u64() % 64,
+                2 => rng.next_u64() % 100_000,
+                _ => rng.next_u64() % 10_000_000_000,
+            }),
+            6 | 7 => CalOp::Cancel(rng.index(1024)),
+            8 => CalOp::Pop,
+            _ => CalOp::Peek,
+        })
+        .collect()
+}
+
 #[test]
 fn calendar_matches_sorted_model() {
-    for case in 0..CASES {
-        let mut rng = RngStream::new(case, "calendar-model");
-        let len = 1 + rng.index(119);
-        let ops = random_ops(&mut rng, len);
+    for case in 0..2 * CASES {
+        // The first CASES cases run the near-future mix, the rest the
+        // wide mix with peeks and far-future jumps.
+        let ops = if case < CASES {
+            let mut rng = RngStream::new(case, "calendar-model");
+            let len = 1 + rng.index(119);
+            random_ops(&mut rng, len)
+        } else {
+            let mut rng = RngStream::new(case, "calendar-model-wide");
+            let len = 1 + rng.index(999);
+            wide_ops(&mut rng, len)
+        };
         let mut cal: Calendar<u64> = Calendar::new();
         // Model: (time, seq, payload, alive).
         let mut model: Vec<(SimTime, u64, u64, bool)> = Vec::new();
@@ -92,6 +121,10 @@ fn calendar_matches_sorted_model() {
                         }
                         None => assert_eq!(got, None, "case {case}"),
                     }
+                }
+                CalOp::Peek => {
+                    let want = model.iter().filter(|e| e.3).map(|e| e.0).min();
+                    assert_eq!(cal.peek_time(), want, "case {case}");
                 }
             }
             assert_eq!(

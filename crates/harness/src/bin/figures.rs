@@ -5,8 +5,8 @@
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
 //!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N]
-//!         [--bench-reps R] [--bench-gate] [--queue heap|calendar]
-//!         [--multi-world W] [--multi-world-scale S]
+//!         [--bench-reps R] [--bench-gate] [--multi-world W]
+//!         [--multi-world-scale S]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
@@ -56,19 +56,14 @@
 //! `N`× larger id universe. Scaled workloads are non-canonical, so CSV
 //! emission and shape checks are skipped (completing the grid *is* the
 //! check). `--scale-bench N` additionally runs the trace-off fig6 grid at
-//! scale 1 (best of `--bench-reps`, default 3) and scale `N` on one
-//! worker — once per event-queue backend for the heap-vs-calendar
-//! comparison — records the throughputs plus the baseline into the
-//! manifest's `bench` section (schema v5), and prints the `PERF-GATE
+//! scale 1 (best of `--bench-reps`, default 3) and once at scale `N` on
+//! one worker, records the throughputs plus the baseline into the
+//! manifest's `bench` section (schema v9), and prints the `PERF-GATE
 //! OK|WARN` verdict. By default the verdict is informational; with
 //! `--bench-gate` a WARN turns into exit code 3 so callers get a real
 //! exit-code contract instead of grepping log lines (0 = pass, 1 = shape
 //! checks failed, 2 = usage error, 3 = perf gate warned). The baseline
 //! can be overridden via the `ANU_PERF_BASELINE` environment variable.
-//!
-//! `--queue heap|calendar` forces every experiment in the run onto one
-//! event-queue backend (results are identical either way — the scheduler
-//! abstraction guarantees it; only throughput differs).
 //!
 //! `--multi-world W` appends the partitioned multi-world probe: `W`
 //! independent fig6 worlds (derived seeds, each at `--multi-world-scale`,
@@ -88,7 +83,6 @@
 //! the manifest's deterministic sections are byte-identical at any
 //! `--jobs` value.
 
-use anu_des::EventQueueKind;
 use anu_harness::runner;
 use anu_harness::{
     chaos_checks, chaos_experiments, chaos_manifest, chaos_rows, checks_for, checks_table, figure,
@@ -123,7 +117,6 @@ struct Args {
     scale_bench: u64,
     bench_reps: usize,
     bench_gate: bool,
-    queue: Option<EventQueueKind>,
     multi_world: u64,
     multi_world_scale: u64,
 }
@@ -147,7 +140,6 @@ fn parse_args() -> Args {
         scale_bench: 0,
         bench_reps: 3,
         bench_gate: false,
-        queue: None,
         multi_world: 0,
         multi_world_scale: 1,
     };
@@ -220,14 +212,6 @@ fn parse_args() -> Args {
                     .expect("--bench-reps needs a count >= 1")
             }
             "--bench-gate" => args.bench_gate = true,
-            "--queue" => {
-                args.queue = Some(
-                    it.next()
-                        .as_deref()
-                        .and_then(EventQueueKind::parse)
-                        .expect("--queue needs heap|calendar"),
-                )
-            }
             "--multi-world" => {
                 args.multi_world = it
                     .next()
@@ -243,7 +227,7 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate] [--queue heap|calendar] [--multi-world W] [--multi-world-scale S]"
+                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate] [--multi-world W] [--multi-world-scale S]"
                 );
                 std::process::exit(0);
             }
@@ -338,16 +322,7 @@ fn main() {
         .map(|i| anu_des::task_seed(args.seed, i))
         .collect();
 
-    let (mut exps, entries) = build_grid(&figures, &seeds, args.scale);
-    if let Some(queue) = args.queue {
-        // Forcing a backend never changes results (the scheduler
-        // abstraction guarantees identical pop order); it only changes
-        // which data structure pays for them.
-        for exp in &mut exps {
-            exp.cluster.queue = queue;
-        }
-        println!("event queue: {} (forced by --queue)", queue.name());
-    }
+    let (exps, entries) = build_grid(&figures, &seeds, args.scale);
     let jobs = runner::effective_jobs(args.jobs);
     if args.scale > 1 {
         println!(
@@ -449,8 +424,8 @@ fn main() {
         });
     }
 
-    // Optional throughput probe: trace-off fig6 at scale 1 and scale N
-    // (per event-queue backend), compared against the baseline in effect.
+    // Optional throughput probe: trace-off fig6 at scale 1 and scale N,
+    // compared against the baseline in effect.
     // The verdict is printed and recorded; with --bench-gate a WARN also
     // becomes exit code 3. Runs *before* the optional chaos/storm sweeps
     // so the probe always times the same warm-but-quiet process state —
@@ -459,7 +434,7 @@ fn main() {
     // measurably depress a probe taken afterwards).
     let bench = (args.scale_bench > 0).then(|| {
         println!(
-            "\nscale bench: fig6 trace-off on 1 worker at scale 1 (best of {}) and scale {} per queue backend",
+            "\nscale bench: fig6 trace-off on 1 worker at scale 1 (best of {}) and scale {}",
             args.bench_reps, args.scale_bench
         );
         let b = run_scale_bench(args.seed, args.scale_bench, args.bench_reps);
@@ -471,12 +446,7 @@ fn main() {
     // section, but the robustness verdicts gate the exit code like the
     // figure checks do.
     let chaos_fragment = if args.chaos {
-        let mut chaos_exps = chaos_experiments(args.seed);
-        if let Some(queue) = args.queue {
-            for exp in &mut chaos_exps {
-                exp.cluster.queue = queue;
-            }
-        }
+        let chaos_exps = chaos_experiments(args.seed);
         println!(
             "\nchaos sweep: {} intensity levels {:?} x {} policies",
             CHAOS_LEVELS.len(),
@@ -539,12 +509,7 @@ fn main() {
     // own grid and manifest section, robustness verdicts gate the exit
     // code.
     let storm_fragment = if args.storm {
-        let mut storm_exps = storm_experiments(args.seed);
-        if let Some(queue) = args.queue {
-            for exp in &mut storm_exps {
-                exp.cluster.queue = queue;
-            }
-        }
+        let storm_exps = storm_experiments(args.seed);
         println!(
             "\nstorm sweep: 4 storm kinds x {} intensity levels {:?} + convergence cell",
             STORM_LEVELS.len(),
@@ -607,12 +572,7 @@ fn main() {
     // growing workload scales. Its shrinking-divergence checks gate the
     // exit code like the figure shape checks.
     let meanfield_fragment = if args.meanfield {
-        let mut mf_exps = meanfield_experiments(args.seed);
-        if let Some(queue) = args.queue {
-            for exp in &mut mf_exps {
-                exp.cluster.queue = queue;
-            }
-        }
+        let mf_exps = meanfield_experiments(args.seed);
         println!(
             "\nmeanfield sweep: scales {:?} x {} replicas x {} policies vs the analytic oracle",
             MEANFIELD_SCALES,

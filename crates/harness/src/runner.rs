@@ -28,7 +28,6 @@ use crate::experiment::Experiment;
 use crate::figures::ShapeCheck;
 use anu_cluster::{ProfileScope, RunProfiler, RunResult};
 use anu_core::Json;
-use anu_des::EventQueueKind;
 use anu_trace::{NullSink, RingSink, TraceLevel};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -58,8 +57,10 @@ use std::time::Instant;
 /// fairness/shed/scale rows. v8 added the `meanfield` section (`null`
 /// unless `--meanfield` ran): the analytic-oracle convergence sweep's
 /// scales, divergence ceiling, gate verdict, and per-(policy, scale)
-/// divergence rows.
-pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v8";
+/// divergence rows. v9 removed `bench.queue`: the binary heap is the only
+/// event queue, so `bench.scale_n_events_per_sec` is its one scale-N
+/// probe.
+pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v9";
 
 /// Recorded scale-1 fig6 throughput baseline (simulated events per
 /// wall-clock second, four-policy aggregate, `--jobs 1`, trace off):
@@ -473,8 +474,7 @@ pub fn measure_trace_overhead(exp: &Experiment) -> TraceOverhead {
 }
 
 /// Result of the `figures --scale-bench N` throughput probe: trace-off
-/// fig6 events/sec at scale 1 and at scale `scale`, a heap-vs-calendar
-/// event-queue comparison at scale `scale`, plus the soft-gate verdict
+/// fig6 events/sec at scale 1 and at scale `scale`, plus the soft-gate verdict
 /// against the baseline in effect (see [`perf_baseline`]). Everything
 /// here is timing data (see [`TIMING_FIELDS`] — the whole `bench`
 /// manifest section is stripped before determinism comparisons).
@@ -484,16 +484,9 @@ pub struct ScaleBench {
     pub scale: u64,
     /// Best-of-reps events/sec of the canonical (scale-1) fig6 grid.
     pub scale1_events_per_sec: f64,
-    /// Events/sec of the scale-`scale` fig6 grid with the default event
-    /// queue (single rep — the run is long enough to dominate warm-up
-    /// noise).
+    /// Events/sec of the scale-`scale` fig6 grid (single rep — the run
+    /// is long enough to dominate warm-up noise).
     pub scale_n_events_per_sec: f64,
-    /// Events/sec of the scale-`scale` fig6 grid forced onto the binary
-    /// heap backend.
-    pub queue_heap_events_per_sec: f64,
-    /// Events/sec of the scale-`scale` fig6 grid forced onto the calendar
-    /// queue backend.
-    pub queue_calendar_events_per_sec: f64,
     /// The baseline the gate compared against ([`perf_baseline`] at probe
     /// time — recorded so the manifest is self-describing even when
     /// `ANU_PERF_BASELINE` overrode the constant).
@@ -512,21 +505,12 @@ impl ScaleBench {
         self.ratio_vs_baseline() >= PERF_GATE_THRESHOLD
     }
 
-    /// Which event-queue backend won the scale-`scale` comparison.
-    pub fn queue_winner(&self) -> EventQueueKind {
-        if self.queue_calendar_events_per_sec > self.queue_heap_events_per_sec {
-            EventQueueKind::CalendarQueue
-        } else {
-            EventQueueKind::BinaryHeap
-        }
-    }
-
     /// The one-line `PERF-GATE OK|WARN` verdict the `figures` binary
     /// prints; under `--bench-gate` a WARN also becomes exit code 3 (see
     /// [`gate_exit_code`]).
     pub fn gate_line(&self) -> String {
         format!(
-            "PERF-GATE {}: fig6 scale-1 {:.0} ev/s = {:.2}x recorded baseline {:.0} ev/s (soft threshold {:.2}x); scale-{} {:.0} ev/s (heap {:.0}, calendar {:.0})",
+            "PERF-GATE {}: fig6 scale-1 {:.0} ev/s = {:.2}x recorded baseline {:.0} ev/s (soft threshold {:.2}x); scale-{} {:.0} ev/s",
             if self.gate_ok() { "OK" } else { "WARN" },
             self.scale1_events_per_sec,
             self.ratio_vs_baseline(),
@@ -534,12 +518,10 @@ impl ScaleBench {
             PERF_GATE_THRESHOLD,
             self.scale,
             self.scale_n_events_per_sec,
-            self.queue_heap_events_per_sec,
-            self.queue_calendar_events_per_sec,
         )
     }
 
-    /// The `bench` manifest section (schema v5).
+    /// The `bench` manifest section (schema v9).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("scale", Json::u64(self.scale)),
@@ -550,21 +532,6 @@ impl ScaleBench {
             (
                 "scale_n_events_per_sec",
                 Json::f64(self.scale_n_events_per_sec),
-            ),
-            (
-                "queue",
-                Json::obj(vec![
-                    (
-                        "heap_events_per_sec",
-                        Json::f64(self.queue_heap_events_per_sec),
-                    ),
-                    (
-                        "calendar_events_per_sec",
-                        Json::f64(self.queue_calendar_events_per_sec),
-                    ),
-                    ("winner", Json::str(self.queue_winner().name())),
-                    ("default", Json::str(EventQueueKind::default().name())),
-                ]),
             ),
             (
                 "baseline",
@@ -593,17 +560,14 @@ impl ScaleBench {
 
 /// Run the scale-bench probe: the full fig6 grid (all four policies) with
 /// tracing off on a single worker, at scale 1 (`reps` repetitions, best
-/// taken — single-digit-second runs are noisy), at scale `scale` on the
-/// default event queue (one repetition), and once per event-queue backend
-/// at scale `scale` for the heap-vs-calendar comparison. Aggregate
-/// events/sec per rep is total simulated events over total simulation
-/// wall time.
+/// taken — single-digit-second runs are noisy) and once at scale `scale`.
+/// Aggregate events/sec per rep is total simulated events over total
+/// simulation wall time.
 pub fn run_scale_bench(seed: u64, scale: u64, reps: usize) -> ScaleBench {
-    let probe = |s: u64, reps: usize, queue: EventQueueKind| -> f64 {
-        let mut exp = crate::figures::figure_scaled(6, seed, s)
+    let probe = |s: u64, reps: usize| -> f64 {
+        let exp = crate::figures::figure_scaled(6, seed, s)
             // anu-lint: allow(panic) -- figure 6 always exists
             .expect("figure 6 exists");
-        exp.cluster.queue = queue;
         let mut best = 0.0f64;
         for _ in 0..reps.max(1) {
             let outcomes = run_grid(std::slice::from_ref(&exp), 1);
@@ -613,23 +577,10 @@ pub fn run_scale_bench(seed: u64, scale: u64, reps: usize) -> ScaleBench {
         }
         best
     };
-    let default = EventQueueKind::default();
-    let scale1_events_per_sec = probe(1, reps, default);
-    let bench_scale = scale.max(1);
-    let queue_heap_events_per_sec = probe(bench_scale, 1, EventQueueKind::BinaryHeap);
-    let queue_calendar_events_per_sec = probe(bench_scale, 1, EventQueueKind::CalendarQueue);
-    // The default backend's scale-N number already exists in the queue
-    // comparison — reuse it rather than paying a third long run.
-    let scale_n_events_per_sec = match default {
-        EventQueueKind::BinaryHeap => queue_heap_events_per_sec,
-        EventQueueKind::CalendarQueue => queue_calendar_events_per_sec,
-    };
     ScaleBench {
         scale,
-        scale1_events_per_sec,
-        scale_n_events_per_sec,
-        queue_heap_events_per_sec,
-        queue_calendar_events_per_sec,
+        scale1_events_per_sec: probe(1, reps),
+        scale_n_events_per_sec: probe(scale.max(1), 1),
         baseline: perf_baseline(),
     }
 }
@@ -1025,8 +976,6 @@ mod tests {
             scale: 100,
             scale1_events_per_sec: 1.2e7,
             scale_n_events_per_sec: 1.5e7,
-            queue_heap_events_per_sec: 1.5e7,
-            queue_calendar_events_per_sec: 1.4e7,
             baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
         };
         let mw = MultiWorld {
@@ -1125,7 +1074,7 @@ mod tests {
             0.0,
         );
         assert_eq!(m.get("schema").unwrap().as_str().unwrap(), MANIFEST_SCHEMA);
-        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v8");
+        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v9");
         assert_eq!(m.get("base_seed").unwrap().as_u64().unwrap(), 5);
         assert_eq!(m.get("scale").unwrap().as_u64().unwrap(), 1);
         assert_eq!(m.get("tasks_total").unwrap().as_usize().unwrap(), 3);
@@ -1205,24 +1154,18 @@ mod tests {
             scale: 100,
             scale1_events_per_sec: BASELINE_SCALE1_EVENTS_PER_SEC * 1.6,
             scale_n_events_per_sec: 2.0e7,
-            queue_heap_events_per_sec: 2.0e7,
-            queue_calendar_events_per_sec: 1.8e7,
             baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
         };
         assert!(fast.gate_ok());
         assert!(fast.gate_line().starts_with("PERF-GATE OK"));
-        assert_eq!(fast.queue_winner(), EventQueueKind::BinaryHeap);
         let slow = ScaleBench {
             scale: 100,
             scale1_events_per_sec: BASELINE_SCALE1_EVENTS_PER_SEC * 0.5,
             scale_n_events_per_sec: 1.0e6,
-            queue_heap_events_per_sec: 1.0e6,
-            queue_calendar_events_per_sec: 1.1e6,
             baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
         };
         assert!(!slow.gate_ok());
         assert!(slow.gate_line().starts_with("PERF-GATE WARN"));
-        assert_eq!(slow.queue_winner(), EventQueueKind::CalendarQueue);
         let j = fast.to_json();
         assert_eq!(j.get("scale").unwrap().as_u64().unwrap(), 100);
         assert_eq!(
@@ -1232,15 +1175,7 @@ mod tests {
                 .unwrap(),
             &Json::f64(BASELINE_SCALE1_EVENTS_PER_SEC)
         );
-        let queue = j.get("queue").unwrap();
-        assert_eq!(
-            queue.get("winner").unwrap().as_str().unwrap(),
-            EventQueueKind::BinaryHeap.name()
-        );
-        assert_eq!(
-            queue.get("default").unwrap().as_str().unwrap(),
-            EventQueueKind::default().name()
-        );
+        assert!(j.get("queue").is_err(), "v9 has no queue comparison");
         let gate = j.get("gate").unwrap();
         assert!(gate.get("ok").unwrap().as_bool().unwrap());
         assert_eq!(gate.get("threshold").unwrap(), &Json::f64(0.8));

@@ -69,12 +69,18 @@ pub fn write_csv<W: Write>(w: &Workload, out: W) -> Result<(), TraceError> {
 }
 
 /// Read a workload from the CSV format produced by [`write_csv`].
+///
+/// Missing `n_file_sets` / `duration_us` headers are inferred from the
+/// rows. A row whose file set lies outside `0..n_file_sets`, or whose
+/// arrival is `u64::MAX` (the open end of every demand window), is a
+/// parse error at that row's line.
 pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
     let mut label = String::from("trace");
     let mut n_file_sets = 0usize;
     let mut duration_us = 0u64;
     let mut requests = Vec::new();
-    let mut max_fs = 0u64;
+    // Largest file set seen and the line it first appeared on.
+    let mut max_fs: Option<(u64, usize)> = None;
 
     for (i, line) in input.lines().enumerate() {
         let line = line?;
@@ -121,16 +127,40 @@ pub fn read_csv<R: BufRead>(input: R) -> Result<Workload, TraceError> {
         let arrival = field("arrival_us")?;
         let fs = field("file_set")?;
         let cost = field("cost_us")?;
-        max_fs = max_fs.max(fs);
+        if arrival == u64::MAX {
+            return Err(TraceError::Parse {
+                line: lineno,
+                message: format!("arrival_us {arrival} out of range"),
+            });
+        }
+        if max_fs.is_none_or(|(m, _)| fs > m) {
+            max_fs = Some((fs, lineno));
+        }
         requests.push(Request {
             arrival: SimTime(arrival),
             file_set: FileSetId(fs),
             cost: SimDuration(cost),
         });
     }
-    if n_file_sets == 0 {
-        n_file_sets = (max_fs + 1) as usize;
+    // Without a header the namespace is inferred as `0..=max_fs`, which
+    // must fit in `usize`.
+    if let Some((fs, line)) = max_fs {
+        let limit = if n_file_sets == 0 {
+            usize::MAX
+        } else {
+            n_file_sets
+        };
+        match usize::try_from(fs) {
+            Ok(fs) if fs < limit => n_file_sets = n_file_sets.max(fs + 1),
+            _ => {
+                return Err(TraceError::Parse {
+                    line,
+                    message: format!("file_set {fs} out of range for n_file_sets {n_file_sets}"),
+                })
+            }
+        }
     }
+    n_file_sets = n_file_sets.max(1);
     if duration_us == 0 {
         duration_us = requests.iter().map(|r| r.arrival.0).max().unwrap_or(0) + 1;
     }
@@ -210,6 +240,30 @@ mod tests {
     fn csv_missing_field() {
         let err = read_csv("123,4\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("missing field"));
+    }
+
+    #[test]
+    fn csv_rejects_file_set_outside_the_header_namespace() {
+        let csv = "# n_file_sets: 2\n0,1,10\n0,5,10\n";
+        match read_csv(csv.as_bytes()).unwrap_err() {
+            TraceError::Parse { line, message } => {
+                assert_eq!(line, 3);
+                assert!(message.contains("file_set 5"), "{message}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn csv_rejects_ids_and_arrivals_that_overflow_inference() {
+        match read_csv("0,18446744073709551615,1\n".as_bytes()).unwrap_err() {
+            TraceError::Parse { line, .. } => assert_eq!(line, 1),
+            other => panic!("wrong error: {other}"),
+        }
+        match read_csv("0,0,1\n18446744073709551615,0,1\n".as_bytes()).unwrap_err() {
+            TraceError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("wrong error: {other}"),
+        }
     }
 
     #[test]

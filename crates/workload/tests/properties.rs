@@ -1,13 +1,15 @@
 //! Property tests for the workload generators: exact budgets, valid
-//! arrival ranges, determinism, serialization fidelity.
+//! arrival ranges, determinism, serialization fidelity, and loaders that
+//! survive mutated input.
 //!
 //! Cases are driven by a seeded [`RngStream`] (32 deterministic cases per
 //! property) so the suite needs no external property-test framework and
 //! reproduces exactly from the printed case index.
 
+use anu_core::json::{FromJson, Json, ToJson};
 use anu_des::RngStream;
 use anu_workload::{
-    read_csv, write_csv, Burst, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist,
+    read_csv, write_csv, Burst, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist, Workload,
 };
 
 const CASES: u64 = 32;
@@ -177,5 +179,79 @@ fn window_demands_partition_total() {
         for i in 0..20 {
             assert!((a[i] + b[i] - total[i]).abs() < 1e-9, "case {case} set {i}");
         }
+    }
+}
+
+/// Truncate `bytes` at a random offset half the time, then overwrite 1–3
+/// random positions. Replacements lean towards the bytes the formats are
+/// made of (digits and separators) so mutants get past the tokenizer.
+fn mutate(rng: &mut RngStream, bytes: &[u8]) -> Vec<u8> {
+    let keep = if rng.chance(0.5) {
+        rng.index(bytes.len() + 1)
+    } else {
+        bytes.len()
+    };
+    let mut m = bytes[..keep].to_vec();
+    if m.is_empty() {
+        return m;
+    }
+    for _ in 0..1 + rng.index(3) {
+        let at = rng.index(m.len());
+        let pick = |rng: &mut RngStream, set: &[u8]| set[rng.index(set.len())];
+        m[at] = match rng.index(3) {
+            0 => pick(rng, b"0123456789"),
+            1 => pick(rng, b",\n[]{}\":-#"),
+            _ => (rng.next_u64() & 0xff) as u8,
+        };
+    }
+    m
+}
+
+/// An accepted workload must be usable: its statistics and demand vectors
+/// index every request's file set.
+fn exercise(w: &Workload) {
+    let stats = w.stats();
+    assert_eq!(stats.per_set_counts.len(), w.n_file_sets);
+    assert_eq!(w.total_demands().len(), w.n_file_sets);
+}
+
+#[test]
+fn loaders_survive_mutated_input() {
+    let w = SyntheticConfig {
+        n_file_sets: 4,
+        total_requests: 40,
+        duration_secs: 10.0,
+        weights: WeightDist::Zipfian { s: 1.0 },
+        mean_cost_secs: 0.05,
+        cost: CostModel::UniformSpread { spread: 0.2 },
+        seed: 7,
+    }
+    .generate();
+    let mut csv = Vec::new();
+    write_csv(&w, &mut csv).unwrap();
+    let json = w.to_json().render().into_bytes();
+
+    let mut rng = RngStream::new(0, "loader-mutation");
+    for case in 0..2_000 {
+        let m = mutate(&mut rng, &csv);
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(got) = read_csv(m.as_slice()) {
+                exercise(&got);
+            }
+        });
+        assert!(
+            outcome.is_ok(),
+            "csv case {case} panicked on {:?}",
+            String::from_utf8_lossy(&m)
+        );
+
+        let m = mutate(&mut rng, &json);
+        let text = String::from_utf8_lossy(&m);
+        let outcome = std::panic::catch_unwind(|| {
+            if let Ok(got) = Json::parse(&text).and_then(|j| Workload::from_json(&j)) {
+                exercise(&got);
+            }
+        });
+        assert!(outcome.is_ok(), "json case {case} panicked on {text:?}");
     }
 }

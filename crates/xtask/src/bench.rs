@@ -225,8 +225,9 @@ pub fn compare(history: &[Record], current: f64) -> Result<BenchComparison, Stri
     })
 }
 
-/// Minimal JSON value reader for the two restricted shapes this module
-/// consumes. Supports objects, arrays, strings (with `\"`-style escape
+/// Minimal JSON value reader for the restricted shapes xtask consumes:
+/// the bench history and manifest here, and the lint ratchet baseline.
+/// Supports objects, arrays, strings (with `\"`-style escape
 /// skipping — escaped content is preserved verbatim minus the backslash
 /// for the simple escapes the manifest writer emits), numbers, booleans
 /// and null. Not a general-purpose parser; errors carry byte offsets.
@@ -509,12 +510,11 @@ mod tests {
     #[test]
     fn extract_manifest_reads_bench_and_overhead() {
         let manifest = r#"{
-            "schema": "anu-bench-figures/v5",
+            "schema": "anu-bench-figures/v9",
             "trace_overhead": {"off_events_per_sec": 1e6, "on_events_per_sec": 9e5, "overhead_pct": 10.0},
             "bench": {
                 "scale1_events_per_sec": 12000000.0,
-                "scale_n_events_per_sec": 15000000.0,
-                "queue": {"heap_events_per_sec": 15000000.0, "calendar_events_per_sec": 14000000.0}
+                "scale_n_events_per_sec": 15000000.0
             }
         }"#;
         let p = extract_manifest(manifest).expect("valid manifest");

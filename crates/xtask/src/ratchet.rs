@@ -14,10 +14,11 @@
 //!
 //! `--update` only ever tightens: it refuses to write a baseline with
 //! regressions. The file format is a stable, hand-editable JSON document
-//! parsed by the dependency-free reader in this module.
+//! read through the same [`Val`] reader as the bench manifests.
 
 use std::collections::BTreeMap;
 
+use crate::bench::Val;
 use crate::{json_str, Report, ALL_LINTS};
 
 /// Per-lint counts tracked by the ratchet.
@@ -75,53 +76,27 @@ impl Baseline {
 
     /// Parse a baseline document written by [`Baseline::render`] (or
     /// edited by hand). Accepts any whitespace; rejects unknown schema
-    /// versions and malformed JSON with a descriptive message.
+    /// versions, unknown keys, counts that are not non-negative integers
+    /// and malformed JSON with a descriptive message.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            i: 0,
+        let Val::Obj(pairs) = Val::parse(text)? else {
+            return Err("baseline must be a JSON object".to_string());
         };
-        let mut schema: Option<u64> = None;
+        let mut schema = None;
         let mut lints = BTreeMap::new();
-
-        p.consume('{')?;
-        loop {
-            p.skip_ws();
-            if p.peek() == Some('}') {
-                p.i += 1;
-                break;
-            }
-            let key = p.string()?;
-            p.consume(':')?;
+        for (key, v) in &pairs {
             match key.as_str() {
-                "schema" => schema = Some(p.number()?),
+                "schema" => schema = Some(count("schema", v)?),
                 "lints" => {
-                    p.consume('{')?;
-                    loop {
-                        p.skip_ws();
-                        if p.peek() == Some('}') {
-                            p.i += 1;
-                            break;
-                        }
-                        let lint = p.string()?;
-                        p.consume(':')?;
-                        let counts = p.counts()?;
-                        lints.insert(lint, counts);
-                        p.skip_ws();
-                        if p.peek() == Some(',') {
-                            p.i += 1;
-                        }
+                    let Val::Obj(entries) = v else {
+                        return Err("`lints` must be an object".to_string());
+                    };
+                    for (lint, c) in entries {
+                        lints.insert(lint.clone(), counts(lint, c)?);
                     }
                 }
                 other => return Err(format!("unknown baseline key `{other}`")),
             }
-            p.skip_ws();
-            if p.peek() == Some(',') {
-                p.i += 1;
-            }
-        }
-        if p.peek().is_some() {
-            return Err(format!("trailing data after baseline at byte {}", p.i));
         }
         match schema {
             Some(1) => Ok(Baseline { lints }),
@@ -131,93 +106,34 @@ impl Baseline {
     }
 }
 
-/// Minimal parser over the restricted baseline JSON shape.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    i: usize,
+/// Largest integer an f64 [`Val::Num`] holds exactly (2^53).
+const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
+
+/// Read `v` as a non-negative integer count named `what`.
+fn count(what: &str, v: &Val) -> Result<usize, String> {
+    match v.as_f64() {
+        Some(n) if (0.0..=MAX_EXACT_COUNT).contains(&n) && n.fract() == 0.0 => Ok(n as usize),
+        _ => Err(format!(
+            "`{what}` must be a non-negative integer, found {v:?}"
+        )),
+    }
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.i)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.i += 1;
-        }
+/// Read one lint's `{"violations": N, "waived": M}` entry.
+fn counts(lint: &str, v: &Val) -> Result<LintCounts, String> {
+    let Val::Obj(pairs) = v else {
+        return Err(format!("counts of `{lint}` must be an object"));
+    };
+    let mut counts = LintCounts::default();
+    for (key, n) in pairs {
+        let slot = match key.as_str() {
+            "violations" => &mut counts.violations,
+            "waived" => &mut counts.waived,
+            other => return Err(format!("unknown count key `{other}`")),
+        };
+        *slot = count(key, n)?;
     }
-
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.bytes.get(self.i).map(|&b| b as char)
-    }
-
-    fn consume(&mut self, c: char) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.i += 1;
-                Ok(())
-            }
-            got => Err(format!("expected `{c}`, found {got:?} at byte {}", self.i)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.consume('"')?;
-        let start = self.i;
-        while let Some(&b) = self.bytes.get(self.i) {
-            if b == b'"' {
-                let s = String::from_utf8_lossy(&self.bytes[start..self.i]).into_owned();
-                self.i += 1;
-                return Ok(s);
-            }
-            if b == b'\\' {
-                return Err("escapes are not supported in baseline keys".to_string());
-            }
-            self.i += 1;
-        }
-        Err("unterminated string in baseline".to_string())
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.bytes.get(self.i).is_some_and(u8::is_ascii_digit) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.i])
-            .parse::<u64>()
-            .map_err(|e| format!("bad number in baseline: {e}"))
-    }
-
-    fn counts(&mut self) -> Result<LintCounts, String> {
-        let mut counts = LintCounts::default();
-        self.consume('{')?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('}') {
-                self.i += 1;
-                break;
-            }
-            let key = self.string()?;
-            self.consume(':')?;
-            let n = self.number()? as usize;
-            match key.as_str() {
-                "violations" => counts.violations = n,
-                "waived" => counts.waived = n,
-                other => return Err(format!("unknown count key `{other}`")),
-            }
-            self.skip_ws();
-            if self.peek() == Some(',') {
-                self.i += 1;
-            }
-        }
-        Ok(counts)
-    }
+    Ok(counts)
 }
 
 /// The outcome of comparing a fresh scan against the baseline.
@@ -292,6 +208,35 @@ mod tests {
         assert!(Baseline::parse("{\"lints\": {}}").is_err());
         assert!(Baseline::parse("not json").is_err());
         assert!(Baseline::parse("{\"schema\": 1, \"bogus\": {}}").is_err());
+        assert!(Baseline::parse("{\"schema\": 1 \"lints\": {}}").is_err());
+        assert!(Baseline::parse("{\"schema\": 1, \"lints\": {\"panic\": 3}}").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_negative_and_fractional_counts() {
+        for bad in ["-1", "1.5", "1e300"] {
+            let text = format!(
+                "{{\"schema\": 1, \"lints\": {{\"panic\": {{\"violations\": 0, \"waived\": {bad}}}}}}}"
+            );
+            let err = Baseline::parse(&text).expect_err(bad);
+            assert!(
+                err.contains("`waived` must be a non-negative integer"),
+                "{bad}: {err}"
+            );
+        }
+        let err = Baseline::parse("{\"schema\": 1.5, \"lints\": {}}").expect_err("schema");
+        assert!(
+            err.contains("`schema` must be a non-negative integer"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn committed_baseline_parses() {
+        let text = include_str!("../../../lint-baseline.json");
+        let b = Baseline::parse(text).expect("committed baseline parses");
+        assert_eq!(b.lints.len(), ALL_LINTS.len());
+        assert_eq!(b.render(), text, "committed baseline is in canonical form");
     }
 
     #[test]
