@@ -90,6 +90,15 @@ if [[ "$QUICK" == 1 ]]; then
     # shed), fairness scoring stays sane, and the pool actually scales.
     cargo test -q --test storm_robustness
 
+    step "loader fuzz smoke: mutated configs, placement maps, workloads and traces"
+    # Named separately so a parser regression is visible as its own step:
+    # seeded truncations and byte overwrites of the replicated config and
+    # placement map, workload CSV/JSON, and ring/JSONL traces must load
+    # or fail with an error, never panic.
+    cargo test -q -p anu-core --test properties loaders_survive_mutated_input
+    cargo test -q -p anu-workload --test properties
+    cargo test -q -p anu-inspect --test decoder_fuzz
+
     step "multi-world smoke: partitioned worlds aggregate and stay deterministic"
     cargo test -q -p anu-harness --test multi_world
 

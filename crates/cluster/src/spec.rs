@@ -31,12 +31,6 @@ pub struct MigrationConfig {
     pub flush: SimDuration,
     /// Acquiring server's file set initialization time.
     pub init: SimDuration,
-    /// If true, requests already queued (not in service) at the releasing
-    /// server follow the file set to its new owner. The paper's system
-    /// completes queued transactions at the releasing server as part of the
-    /// flush — those leftover "memento" tasks are exactly what divergent
-    /// tuning compensates for — so the faithful default is `false`.
-    pub queued_follow: bool,
 }
 
 impl Default for MigrationConfig {
@@ -45,7 +39,6 @@ impl Default for MigrationConfig {
         MigrationConfig {
             flush: SimDuration::from_secs(2),
             init: SimDuration::from_secs(5),
-            queued_follow: false,
         }
     }
 }

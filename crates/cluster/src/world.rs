@@ -620,22 +620,12 @@ impl<'a> World<'a> {
                 continue;
             }
             // The releasing server drops the set: its cache is flushed.
-            // Queued jobs either complete at the releasing server (the
-            // paper's flush semantics — leaving the "memento" tasks that
-            // divergent tuning compensates for) or, optionally, follow the
-            // set to its new owner.
-            let mut buffered = Vec::new();
+            // Queued jobs complete at the releasing server (the paper's
+            // flush semantics — leaving the "memento" tasks that divergent
+            // tuning compensates for).
             let from = self.assignment[set];
             if let Some(from) = from {
-                {
-                    let st = &mut self.servers[from as usize];
-                    st.warmth[set] = 0;
-                    if self.cfg.migration.queued_follow {
-                        for job in st.station.remove_queued(|m| m.set as usize == set) {
-                            buffered.push((job.arrival, job.meta.cost));
-                        }
-                    }
-                }
+                self.servers[from as usize].warmth[set] = 0;
             }
             if self.tracer.enabled(TraceLevel::Epoch) {
                 let from_id = from.map(|s| self.server_ids.get(s as usize).0);
@@ -661,7 +651,10 @@ impl<'a> World<'a> {
                     },
                 );
             }
-            self.migrations[set] = Some(Migration { to, buffered });
+            self.migrations[set] = Some(Migration {
+                to,
+                buffered: Vec::new(),
+            });
             self.cal
                 .schedule(now + delay, Event::MigrationDone(set as u32));
             self.migration_count += 1;
@@ -2449,31 +2442,6 @@ mod cache_tests {
         assert!(
             u_cold > u_warm,
             "cold-cache utilization {u_cold:.4} must exceed warm {u_warm:.4}"
-        );
-    }
-
-    #[test]
-    fn queued_follow_moves_waiting_requests() {
-        // With queued_follow, the destination serves strictly more of the
-        // moved set's requests (it also gets the backlog).
-        let w = uniform_workload(22);
-        let moved = FileSetId(0);
-        let dest = ServerId(4);
-        let run_mode = |follow: bool| {
-            let mut cfg = ClusterConfig::paper();
-            cfg.migration.queued_follow = follow;
-            let mut p = OneMove {
-                set: moved,
-                to: dest,
-                done: false,
-            };
-            run(&cfg, &w, &mut p).summary.per_server_requests[&dest]
-        };
-        let with_follow = run_mode(true);
-        let without = run_mode(false);
-        assert!(
-            with_follow >= without,
-            "queued_follow {with_follow} vs flush-at-source {without}"
         );
     }
 }

@@ -1,5 +1,6 @@
 //! Top-level ANU configuration, serializable for replication.
 
+use crate::hash;
 use crate::heuristics::TuningConfig;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::placement::DEFAULT_ROUNDS;
@@ -44,7 +45,7 @@ impl FromJson for AnuConfig {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(AnuConfig {
             seed: j.get("seed")?.as_u64()?,
-            rounds: j.get("rounds")?.as_u32()?,
+            rounds: hash::rounds_from_json(j.get("rounds")?)?,
             tuning: TuningConfig::from_json(j.get("tuning")?)?,
         })
     }
@@ -67,5 +68,21 @@ mod tests {
         let text = c.to_json().render_pretty();
         let c2 = AnuConfig::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(c, c2);
+    }
+
+    #[test]
+    fn rejects_rounds_above_the_bound() {
+        let mut c = AnuConfig {
+            rounds: hash::MAX_ROUNDS,
+            ..AnuConfig::default()
+        };
+        let at_bound = c.to_json().render();
+        assert_eq!(
+            AnuConfig::from_json(&Json::parse(&at_bound).unwrap()),
+            Ok(c)
+        );
+        c.rounds = u32::MAX;
+        let err = AnuConfig::from_json(&Json::parse(&c.to_json().render()).unwrap());
+        assert!(err.is_err(), "{err:?}");
     }
 }

@@ -58,6 +58,12 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Most probe rounds a loaded [`HashFamily`] may ask for. The family
+/// holds one seed per round, so the bound caps what a replicated document
+/// can make a node allocate; with half the interval mapped, 64 rounds
+/// already put the fallback probability at `2^-64`.
+pub(crate) const MAX_ROUNDS: u32 = 64;
+
 /// A seeded family of hash functions `H_0, H_1, …` plus a fallback hash.
 ///
 /// All cluster nodes construct the family from the same `seed` (part of the
@@ -133,9 +139,20 @@ impl FromJson for HashFamily {
     fn from_json(j: &Json) -> Result<Self, JsonError> {
         Ok(HashFamily::new(
             j.get("seed")?.as_u64()?,
-            j.get("rounds")?.as_u32()?,
+            rounds_from_json(j.get("rounds")?)?,
         ))
     }
+}
+
+/// Read a probe-round count, rejecting counts above [`MAX_ROUNDS`].
+pub(crate) fn rounds_from_json(j: &Json) -> Result<u32, JsonError> {
+    let rounds = j.as_u32()?;
+    if rounds > MAX_ROUNDS {
+        return Err(JsonError::shape(format!(
+            "{rounds} hash rounds exceed the maximum {MAX_ROUNDS}"
+        )));
+    }
+    Ok(rounds)
 }
 
 #[cfg(test)]

@@ -295,6 +295,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -342,9 +343,17 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// the workspace writes nests a handful of levels; the bound turns hostile
+/// input into an error instead of a stack overflow in the recursive
+/// descent.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -389,12 +398,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Run `parse` on the array or object at `pos`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -657,6 +680,20 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deep = open.repeat(100_000);
+            let err = Json::parse(&deep).expect_err("too deep");
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{open}: {err}");
+            // The bound itself still parses.
+            let ok = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(Json::parse(&ok).is_ok(), "{open}");
+            let over = format!("{open}{ok}{close}");
+            assert!(Json::parse(&over).is_err(), "{open}");
+        }
     }
 
     #[test]

@@ -276,8 +276,16 @@ impl ToJson for PlacementMap {
 
 impl FromJson for PlacementMap {
     fn from_json(j: &Json) -> std::result::Result<Self, JsonError> {
+        let table = PartitionTable::from_json(j.get("table")?)?;
+        // `locate`'s fallback needs a live server, as in `new`.
+        if table.num_servers() == 0 {
+            return Err(JsonError::shape(format!(
+                "placement map: {}",
+                AnuError::EmptyCluster
+            )));
+        }
         Ok(PlacementMap {
-            table: PartitionTable::from_json(j.get("table")?)?,
+            table,
             hasher: HashFamily::from_json(j.get("hasher")?)?,
         })
     }
@@ -569,5 +577,30 @@ mod tests {
         let m2 = PlacementMap::from_json(&Json::parse(&m.to_json().render()).unwrap()).unwrap();
         assert_eq!(m2.table().shares(), m.table().shares());
         assert_eq!(m2.num_servers(), 3);
+    }
+
+    #[test]
+    fn from_json_rejects_an_empty_server_list() {
+        let text = r#"{"table":{"log2_parts":1,"servers":[],"parts":[null,null]},"hasher":{"seed":1,"rounds":4}}"#;
+        let err = PlacementMap::from_json(&Json::parse(text).unwrap()).expect_err("no servers");
+        assert!(err.message.contains("at least one server"), "{err}");
+    }
+
+    #[test]
+    fn from_json_rejects_rounds_above_the_bound() {
+        use crate::hash::MAX_ROUNDS;
+        let m = PlacementMap::new(&ids(2), 1, MAX_ROUNDS).unwrap();
+        let text = m.to_json().render();
+        assert!(PlacementMap::from_json(&Json::parse(&text).unwrap()).is_ok());
+        // u32::MAX rounds would ask `HashFamily::new` for 32 GiB of seeds.
+        for rounds in [MAX_ROUNDS + 1, u32::MAX] {
+            let bad = text.replace(
+                &format!("\"rounds\":{MAX_ROUNDS}"),
+                &format!("\"rounds\":{rounds}"),
+            );
+            assert_ne!(bad, text);
+            let err = PlacementMap::from_json(&Json::parse(&bad).unwrap()).expect_err("rounds");
+            assert!(err.message.contains("hash rounds"), "{rounds}: {err}");
+        }
     }
 }

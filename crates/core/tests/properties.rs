@@ -10,7 +10,9 @@
 //! driven by a seeded SplitMix64 case generator: 64 deterministic cases
 //! per property, reproducible from the printed case seed on failure.
 
-use anu_core::{shares, FileSetId, PlacementMap, ServerId, HALF_UNIT};
+use anu_core::{
+    shares, AnuConfig, FileSetId, FromJson, Json, PlacementMap, ServerId, ToJson, HALF_UNIT,
+};
 use std::collections::BTreeMap;
 
 /// Deterministic case generator (SplitMix64).
@@ -254,6 +256,78 @@ fn churn_sequence_preserves_invariants() {
             );
         }
     }
+}
+
+/// Truncate `bytes` at a random offset half the time, then overwrite 1–3
+/// random positions. Replacements lean towards the bytes JSON is made of
+/// (digits and separators) so mutants get past the tokenizer.
+fn mutate(c: &mut Cases, bytes: &[u8]) -> Vec<u8> {
+    let keep = if c.usize_in(0, 2) == 0 {
+        c.usize_in(0, bytes.len() + 1)
+    } else {
+        bytes.len()
+    };
+    let mut m = bytes[..keep].to_vec();
+    if m.is_empty() {
+        return m;
+    }
+    for _ in 0..c.usize_in(1, 4) {
+        let at = c.usize_in(0, m.len());
+        let pick = |c: &mut Cases, set: &[u8]| set[c.usize_in(0, set.len())];
+        m[at] = match c.usize_in(0, 3) {
+            0 => pick(c, b"0123456789"),
+            1 => pick(c, b",[]{}\":-"),
+            _ => c.next_u64() as u8,
+        };
+    }
+    m
+}
+
+/// The replicated configuration and placement state survive corrupted
+/// documents: loading never panics, and every map that loads locates
+/// names onto its own servers and passes the shape check.
+#[test]
+fn loaders_survive_mutated_input() {
+    let config = AnuConfig::default().to_json().render().into_bytes();
+    let mut map = PlacementMap::new(&server_ids(5), 0x5EED, 32).unwrap();
+    let mut c = Cases(0xA110_000A);
+    let weights = server_ids(5)
+        .into_iter()
+        .zip(c.weights(5, 0.5, 4.0))
+        .collect();
+    map.rebalance(&weights).unwrap();
+    let state = map.to_json().render().into_bytes();
+
+    let mut loaded = 0;
+    for case in 0..2_000 {
+        let m = mutate(&mut c, &config);
+        let text = String::from_utf8_lossy(&m);
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = Json::parse(&text).and_then(|j| AnuConfig::from_json(&j));
+        });
+        assert!(outcome.is_ok(), "config case {case} panicked on {text:?}");
+
+        let m = mutate(&mut c, &state);
+        let text = String::from_utf8_lossy(&m);
+        let outcome = std::panic::catch_unwind(|| {
+            let Ok(got) = Json::parse(&text).and_then(|j| PlacementMap::from_json(&j)) else {
+                return false;
+            };
+            let servers = got.servers();
+            for name in names(1_000) {
+                assert!(servers.contains(&got.locate(name)));
+            }
+            got.table().check_invariants_shape().unwrap();
+            true
+        });
+        match outcome {
+            Ok(accepted) => loaded += usize::from(accepted),
+            Err(_) => panic!("map case {case} panicked on {text:?}"),
+        }
+    }
+    // Some mutants (a changed seed digit, say) must load, or the
+    // locate and shape checks above never ran.
+    assert!(loaded > 0, "no mutated map loaded");
 }
 
 #[test]

@@ -133,24 +133,6 @@ impl<M> FifoStation<M> {
         (job, next)
     }
 
-    /// Remove all *queued* jobs matching `pred` (the in-service job is not
-    /// interrupted). Used when ownership of a workload subset changes and
-    /// clients re-route their outstanding requests: the waiting jobs follow
-    /// the workload to its new server.
-    pub fn remove_queued<F: FnMut(&M) -> bool>(&mut self, mut pred: F) -> Vec<Job<M>> {
-        let mut removed = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.queue.len());
-        for job in self.queue.drain(..) {
-            if pred(&job.meta) {
-                removed.push(job);
-            } else {
-                kept.push_back(job);
-            }
-        }
-        self.queue = kept;
-        removed
-    }
-
     /// Drain every job (queued and in-service), e.g. when the server fails.
     /// The in-service job is returned first. Utilization accounting charges
     /// the partial service time up to `now`.
@@ -286,54 +268,6 @@ mod tests {
         assert_eq!(st.population(), 0);
         // Partial service charged: 4 of 10.
         assert_eq!(st.busy_time(), SimDuration(4));
-    }
-
-    #[test]
-    fn remove_queued_filters_waiting_jobs() {
-        let mut st = FifoStation::new();
-        st.arrive(
-            SimTime(0),
-            Job {
-                arrival: SimTime(0),
-                service: SimDuration(10),
-                meta: 1u32,
-            },
-        );
-        st.arrive(
-            SimTime(1),
-            Job {
-                arrival: SimTime(1),
-                service: SimDuration(5),
-                meta: 2,
-            },
-        );
-        st.arrive(
-            SimTime(2),
-            Job {
-                arrival: SimTime(2),
-                service: SimDuration(5),
-                meta: 1,
-            },
-        );
-        st.arrive(
-            SimTime(3),
-            Job {
-                arrival: SimTime(3),
-                service: SimDuration(5),
-                meta: 2,
-            },
-        );
-        // Meta 1 is in service (not touched) and queued once (removed).
-        let removed = st.remove_queued(|&m| m == 1);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].arrival, SimTime(2));
-        assert!(st.is_busy());
-        assert_eq!(st.queue_len(), 2);
-        // FIFO order of the survivors is preserved.
-        let (j, _) = st.complete(SimTime(10));
-        assert_eq!(j.meta, 1);
-        let (j, _) = st.complete(SimTime(15));
-        assert_eq!(j.arrival, SimTime(1));
     }
 
     #[test]

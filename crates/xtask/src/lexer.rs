@@ -515,8 +515,8 @@ pub fn is_float_literal(text: &str) -> bool {
         || text.contains(['e', 'E'])
 }
 
-/// The per-line projection of a token stream, mirroring what the v1
-/// scanner derived textually — but computed from exact tokens.
+/// The per-line projection of a token stream that the line-oriented lints
+/// read, computed from exact tokens.
 #[derive(Clone, Debug, Default)]
 pub struct LineView {
     /// Code with comments removed and string/char contents blanked
@@ -574,8 +574,8 @@ pub fn line_views(src: &str, tokens: &[Token]) -> Vec<LineView> {
                 }
             }
             TokenKind::RawStr => {
-                // Fully blanked, matching the v1 scanner: raw-string
-                // bodies (and their delimiters) contribute nothing.
+                // Fully blanked: raw-string bodies (and their
+                // delimiters) contribute nothing.
             }
             k if k.is_comment() => {
                 cmt_buf[t.start..t.end].copy_from_slice(span);

@@ -56,6 +56,7 @@
 //! increase; on a decrease, `--update` rewrites the baseline. See
 //! [`ratchet`].
 
+use anu_core::Json;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -65,7 +66,6 @@ use std::path::{Path, PathBuf};
 pub mod bench;
 pub mod deps;
 mod imports;
-pub mod legacy;
 pub mod lexer;
 pub mod ratchet;
 mod rng;
@@ -339,7 +339,7 @@ impl Report {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{}: {}", json_str(lint), n));
+            out.push_str(&format!("{}: {}", Json::str(lint).render(), n));
         }
         out.push_str("},\n");
         out.push_str("  \"violations\": [");
@@ -349,10 +349,10 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {{\"lint\": {}, \"file\": {}, \"line\": {}, \"message\": {}}}",
-                json_str(v.lint.name()),
-                json_str(&v.file),
+                Json::str(v.lint.name()).render(),
+                Json::str(&v.file).render(),
                 v.line,
-                json_str(&v.message)
+                Json::str(&v.message).render()
             ));
         }
         if !self.violations.is_empty() {
@@ -366,7 +366,7 @@ impl Report {
             }
             out.push_str(&format!(
                 "\n    {}: {{\"documented\": {}, \"total\": {}, \"percent\": {:.1}}}",
-                json_str(krate),
+                Json::str(krate).render(),
                 cov.documented,
                 cov.total,
                 cov.percent()
@@ -410,28 +410,9 @@ impl Report {
     }
 }
 
-/// Escape a string as a JSON string literal.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// Crates whose code feeds simulation results and must therefore be
 /// deterministic (no wall clock, no entropy, no hash-order iteration).
-pub(crate) const SIM_PATH_CRATES: [&str; 7] = [
+const SIM_PATH_CRATES: [&str; 7] = [
     "core", "des", "cluster", "trace", "policies", "metrics", "analytic",
 ];
 
@@ -528,7 +509,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 }
 
 /// Work out the crate and role of a source file from its path.
-pub(crate) fn classify(root: &Path, path: &Path) -> Option<FileContext> {
+fn classify(root: &Path, path: &Path) -> Option<FileContext> {
     let rel_path = path.strip_prefix(root).ok()?;
     let rel: String = rel_path
         .components()
@@ -577,22 +558,14 @@ fn scan_file(text: &str, ctx: &FileContext, report: &mut Report) {
     let waiver_lines: Vec<WaiverLine> = views
         .iter()
         .map(|view| {
-            let mut w = WaiverLine::default();
             // Waivers are parsed from the comment view only, so string
             // literals mentioning the syntax (e.g. in this very crate)
             // are never mistaken for waivers; doc prose about the syntax
             // is skipped via the doc flag.
-            if !view.doc_comment {
-                if let Some(pos) = view.comment.find("anu-lint:") {
-                    parse_waiver_into(
-                        &view.comment[pos..],
-                        &mut w.waived,
-                        &mut w.reason,
-                        &mut w.bad,
-                    );
-                }
+            match view.comment.find("anu-lint:") {
+                Some(pos) if !view.doc_comment => parse_waiver(&view.comment[pos..]),
+                _ => WaiverLine::default(),
             }
-            w
         })
         .collect();
 
@@ -774,7 +747,7 @@ fn scan_file(text: &str, ctx: &FileContext, report: &mut Report) {
 }
 
 /// Does `code` contain `word` delimited by non-identifier characters?
-pub(crate) fn contains_word(code: &str, word: &str) -> bool {
+fn contains_word(code: &str, word: &str) -> bool {
     let mut start = 0;
     while let Some(pos) = code[start..].find(word) {
         let abs = start + pos;
@@ -899,22 +872,17 @@ fn is_documented(lines: &[lexer::LineView], idx: usize) -> bool {
     false
 }
 
-/// Parse an `anu-lint: allow(a, b) -- reason` comment, filling the three
-/// output slots (shared between the live scanner and [`legacy`]).
-pub(crate) fn parse_waiver_into(
-    text: &str,
-    waived: &mut Vec<Lint>,
-    reason_out: &mut Option<String>,
-    bad: &mut Option<String>,
-) {
-    let fail = |msg: &str| Some(msg.to_string());
+/// Parse an `anu-lint: allow(a, b) -- reason` comment.
+fn parse_waiver(text: &str) -> WaiverLine {
+    let bad = |msg: String| WaiverLine {
+        bad: Some(msg),
+        ..WaiverLine::default()
+    };
     let Some(open) = text.find("allow(") else {
-        *bad = fail("waiver must use `anu-lint: allow(<lint>) -- <reason>`");
-        return;
+        return bad("waiver must use `anu-lint: allow(<lint>) -- <reason>`".to_string());
     };
     let Some(close) = text[open..].find(')') else {
-        *bad = fail("unclosed `allow(` in waiver");
-        return;
+        return bad("unclosed `allow(` in waiver".to_string());
     };
     let list = &text[open + "allow(".len()..open + close];
     let mut lints = Vec::new();
@@ -922,24 +890,22 @@ pub(crate) fn parse_waiver_into(
         let name = name.trim();
         match Lint::from_name(name) {
             Some(l) => lints.push(l),
-            None => {
-                *bad = fail(&format!("unknown lint `{name}` in waiver"));
-                return;
-            }
+            None => return bad(format!("unknown lint `{name}` in waiver")),
         }
     }
     let after = &text[open + close + 1..];
     let Some(dashes) = after.find("--") else {
-        *bad = fail("waiver needs a justification: `-- <reason>`");
-        return;
+        return bad("waiver needs a justification: `-- <reason>`".to_string());
     };
     let reason = after[dashes + 2..].trim();
     if reason.is_empty() {
-        *bad = fail("waiver justification is empty");
-        return;
+        return bad("waiver justification is empty".to_string());
     }
-    *reason_out = Some(reason.to_string());
-    *waived = lints;
+    WaiverLine {
+        waived: lints,
+        reason: Some(reason.to_string()),
+        bad: None,
+    }
 }
 
 #[cfg(test)]

@@ -14,12 +14,13 @@
 //!
 //! `--update` only ever tightens: it refuses to write a baseline with
 //! regressions. The file format is a stable, hand-editable JSON document
-//! read through the same [`Val`] reader as the bench manifests.
+//! read through [`anu_core::json`], like the bench manifests.
 
 use std::collections::BTreeMap;
 
-use crate::bench::Val;
-use crate::{json_str, Report, ALL_LINTS};
+use anu_core::Json;
+
+use crate::{Report, ALL_LINTS};
 
 /// Per-lint counts tracked by the ratchet.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,7 +65,7 @@ impl Baseline {
         for (i, (name, c)) in self.lints.iter().enumerate() {
             out.push_str(&format!(
                 "    {}: {{\"violations\": {}, \"waived\": {}}}{}\n",
-                json_str(name),
+                Json::str(name).render(),
                 c.violations,
                 c.waived,
                 if i + 1 < self.lints.len() { "," } else { "" }
@@ -79,7 +80,7 @@ impl Baseline {
     /// versions, unknown keys, counts that are not non-negative integers
     /// and malformed JSON with a descriptive message.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let Val::Obj(pairs) = Val::parse(text)? else {
+        let Json::Obj(pairs) = Json::parse(text).map_err(|e| e.to_string())? else {
             return Err("baseline must be a JSON object".to_string());
         };
         let mut schema = None;
@@ -88,7 +89,7 @@ impl Baseline {
             match key.as_str() {
                 "schema" => schema = Some(count("schema", v)?),
                 "lints" => {
-                    let Val::Obj(entries) = v else {
+                    let Json::Obj(entries) = v else {
                         return Err("`lints` must be an object".to_string());
                     };
                     for (lint, c) in entries {
@@ -106,22 +107,19 @@ impl Baseline {
     }
 }
 
-/// Largest integer an f64 [`Val::Num`] holds exactly (2^53).
-const MAX_EXACT_COUNT: f64 = 9_007_199_254_740_992.0;
-
 /// Read `v` as a non-negative integer count named `what`.
-fn count(what: &str, v: &Val) -> Result<usize, String> {
-    match v.as_f64() {
-        Some(n) if (0.0..=MAX_EXACT_COUNT).contains(&n) && n.fract() == 0.0 => Ok(n as usize),
-        _ => Err(format!(
-            "`{what}` must be a non-negative integer, found {v:?}"
-        )),
-    }
+fn count(what: &str, v: &Json) -> Result<usize, String> {
+    v.as_usize().map_err(|_| {
+        format!(
+            "`{what}` must be a non-negative integer, found {}",
+            v.render()
+        )
+    })
 }
 
 /// Read one lint's `{"violations": N, "waived": M}` entry.
-fn counts(lint: &str, v: &Val) -> Result<LintCounts, String> {
-    let Val::Obj(pairs) = v else {
+fn counts(lint: &str, v: &Json) -> Result<LintCounts, String> {
+    let Json::Obj(pairs) = v else {
         return Err(format!("counts of `{lint}` must be an object"));
     };
     let mut counts = LintCounts::default();

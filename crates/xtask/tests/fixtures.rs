@@ -1,6 +1,8 @@
 //! Integration tests for `anu-xtask` against the fixture trees under
-//! `tests/fixtures/`: exact per-lint counts, waiver honoring, and the JSON
-//! report shape.
+//! `tests/fixtures/` (exact findings, per-lint counts, waiver honoring,
+//! and the JSON report shape) and `fixtures/trees/` (one tree per
+//! analysis the token scanner added: raw-string false positives, import
+//! aliases, RNG sharing, tick arithmetic).
 
 use anu_xtask::{scan_workspace, Lint, Report};
 use std::path::PathBuf;
@@ -10,6 +12,170 @@ fn scan_fixture(name: &str) -> Report {
         .join("tests/fixtures")
         .join(name);
     scan_workspace(&root).expect("fixture tree readable")
+}
+
+fn scan_tree(name: &str) -> Report {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures/trees")
+        .join(name);
+    scan_workspace(&root).expect("fixture tree readable")
+}
+
+fn findings(r: &Report) -> Vec<(&str, usize, Lint, &str)> {
+    r.violations
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.lint, v.message.as_str()))
+        .collect()
+}
+
+fn coverage(r: &Report) -> Vec<(&str, usize, usize)> {
+    r.doc_coverage
+        .iter()
+        .map(|(krate, c)| (krate.as_str(), c.documented, c.total))
+        .collect()
+}
+
+/// Every finding on the fixture trees, in report order: file, line,
+/// lint and message, plus the waiver count, files scanned and every
+/// crate's doc coverage.
+#[test]
+fn v1_fixture_trees_pin_findings() {
+    const LIB: &str = "crates/core/src/lib.rs";
+    const INTERVAL: &str = "crates/core/src/interval.rs";
+    const UNWRAP: &str = "`.unwrap()` in library code; return Result or restructure";
+    let r = scan_fixture("violations");
+    assert_eq!(
+        findings(&r),
+        [
+            (
+                INTERVAL,
+                5,
+                Lint::AsCast,
+                "bare `as` cast in fixed-point arithmetic; use the checked num helpers"
+            ),
+            (
+                INTERVAL,
+                6,
+                Lint::FloatCmp,
+                "float equality in fixed-point arithmetic; compare exact fixed-point units"
+            ),
+            (
+                LIB,
+                6,
+                Lint::WallClock,
+                "`Instant::now` reads the wall clock; simulations must be a pure function of seed and input"
+            ),
+            (
+                LIB,
+                11,
+                Lint::ThreadRng,
+                "`thread_rng` draws ambient entropy; use a seeded RngStream"
+            ),
+            (
+                LIB,
+                16,
+                Lint::HashIteration,
+                "`HashMap` has nondeterministic iteration order; use BTreeMap/BTreeSet"
+            ),
+            (LIB, 21, Lint::Panic, UNWRAP),
+            (
+                LIB,
+                24,
+                Lint::MissingDocs,
+                "public item `undocumented` has no doc comment"
+            ),
+            (
+                LIB,
+                28,
+                Lint::Waiver,
+                "waiver needs a justification: `-- <reason>`"
+            ),
+            (LIB, 29, Lint::Panic, UNWRAP),
+            (LIB, 34, Lint::Waiver, "unknown lint `nonsense` in waiver"),
+            (
+                LIB,
+                38,
+                Lint::DocSlash,
+                "line starts with a single `/` beside a doc comment; a `///` doc line lost its slashes"
+            ),
+            (
+                LIB,
+                39,
+                Lint::MissingDocs,
+                "public item `mangled_doc` has no doc comment"
+            ),
+        ]
+    );
+    assert_eq!((r.waived, r.files_scanned), (0, 3));
+    assert_eq!(coverage(&r), [("anu-core", 8, 10)]);
+
+    let r = scan_fixture("waived");
+    assert_eq!(findings(&r), []);
+    assert_eq!((r.waived, r.files_scanned), (4, 1));
+    assert_eq!(coverage(&r), [("anu-core", 3, 3)]);
+
+    let r = scan_fixture("clean");
+    assert_eq!(findings(&r), []);
+    assert_eq!((r.waived, r.files_scanned), (0, 1));
+    assert_eq!(coverage(&r), [("anu", 1, 1)]);
+}
+
+/// Prose and a `pub fn` inside `br#"…"#` raw strings are single tokens:
+/// nothing leaks into the code view, so no doc-slash or missing-docs
+/// finding, and a `}` in a raw string does not close the `cfg(test)`
+/// region early.
+#[test]
+fn fp_fixes_tree_is_clean() {
+    let r = scan_tree("fp_fixes");
+    assert!(
+        r.clean(),
+        "token scanner false positives: {:?}",
+        r.violations
+    );
+    let core = &r.doc_coverage["anu-core"];
+    assert_eq!((core.documented, core.total), (1, 1));
+    let des = &r.doc_coverage["anu-des"];
+    assert_eq!((des.documented, des.total), (1, 1));
+}
+
+#[test]
+fn import_alias_tree_findings() {
+    let new = scan_tree("import_alias");
+    let got: Vec<(usize, Lint)> = new.violations.iter().map(|v| (v.line, v.lint)).collect();
+    assert_eq!(
+        got,
+        [(7, Lint::ImportGraph), (9, Lint::ImportGraph)],
+        "findings: {:?}",
+        new.violations
+    );
+    assert!(new.violations[1].message.contains("Clock"), "alias named");
+}
+
+#[test]
+fn rng_shared_tree_findings() {
+    let new = scan_tree("rng_shared");
+    let got: Vec<Lint> = new.violations.iter().map(|v| v.lint).collect();
+    assert_eq!(
+        got,
+        [Lint::RngDiscipline, Lint::RngDiscipline],
+        "findings: {:?}",
+        new.violations
+    );
+    // One constant-seed construction, one stream shared across a scope.
+    assert!(new.violations.iter().any(|v| v.message.contains("seed")));
+    assert!(new.violations.iter().any(|v| v.message.contains("scope")));
+}
+
+#[test]
+fn tick_arith_tree_findings() {
+    let new = scan_tree("tick_arith");
+    let got: Vec<(usize, Lint)> = new.violations.iter().map(|v| (v.line, v.lint)).collect();
+    assert_eq!(
+        got,
+        [(5, Lint::TickArith), (10, Lint::TickArith)],
+        "findings: {:?}",
+        new.violations
+    );
 }
 
 fn count(report: &Report, lint: Lint) -> usize {
