@@ -2,8 +2,9 @@
 # Local CI gate. Runs everything a PR must pass, in cheap-to-expensive
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
-# figures determinism gate (parallel run byte-identical to serial), and
-# the hard perf ratchet (fresh throughput vs committed BENCH_history.jsonl).
+# figures and sweep determinism gates (parallel run byte-identical to
+# serial), and the hard perf ratchet (fresh throughput vs committed
+# BENCH_history.jsonl).
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
 #
@@ -99,9 +100,6 @@ if [[ "$QUICK" == 1 ]]; then
     cargo test -q -p anu-workload --test properties
     cargo test -q -p anu-inspect --test decoder_fuzz
 
-    step "multi-world smoke: partitioned worlds aggregate and stay deterministic"
-    cargo test -q -p anu-harness --test multi_world
-
     step "meanfield smoke: analytic oracle solver + harness cross-validation units"
     # The fixed-point solver's property tests and the harness-side cell /
     # rows / gate units. The full simulate-vs-predict divergence gate
@@ -158,7 +156,7 @@ trap 'rm -rf "$SERIAL_DIR"' EXIT
 # — its divergence must shrink monotonically with scale and end <= 10%
 # for every policy, a hard check), the epoch-level JSONL traces under
 # out/trace/, the bench manifest (with the scale-1 and scale-100 fig6
-# throughput probes and the multi-world aggregate), and enforces every
+# throughput probes), and enforces every
 # figure's, chaos cell's, storm cell's and meanfield divergence checks.
 # --bench-gate arms the exit-code contract: 0 = all pass, 1 = shape/chaos
 # checks failed, 3 = checks passed but throughput fell below 0.8x of the
@@ -168,7 +166,7 @@ trap 'rm -rf "$SERIAL_DIR"' EXIT
 FIGURES_RC=0
 ./target/release/figures --jobs "$JOBS" --chaos --storm --meanfield --out out \
     --bench-out BENCH_figures.json --scale-bench 100 --bench-gate \
-    --multi-world 4 --trace-out out/trace --trace-level epoch || FIGURES_RC=$?
+    --trace-out out/trace --trace-level epoch || FIGURES_RC=$?
 case "$FIGURES_RC" in
     0) ;;
     3) echo "WARNING: fig6 throughput below 0.8x the recorded constant baseline (soft verdict — bench-ratchet decides)" ;;
@@ -189,6 +187,19 @@ step "anu-inspect --check over every recorded trace (JSONL + binary ring)"
 # telescopes to each recorded latency.
 ./target/release/anu-inspect --check out/trace/*.jsonl out/trace/*.ring >/dev/null
 echo "all recorded traces pass span-integrity checks"
+
+step "sweep determinism + verdicts (--jobs \$(nproc) vs --jobs 1)"
+# The ablation studies print numbers rather than gate them, but two of
+# them end in a verdict line the paper's claims rest on: the delegate
+# average (robust to mean vs median) and delegate failover (crashes
+# barely change the outcome). Both must hold, and the whole printout
+# must be byte-identical at any worker count.
+./target/release/sweep --jobs "$JOBS" > "$SERIAL_DIR/sweep_parallel.txt"
+./target/release/sweep --jobs 1 > "$SERIAL_DIR/sweep_serial.txt"
+diff "$SERIAL_DIR/sweep_parallel.txt" "$SERIAL_DIR/sweep_serial.txt"
+grep -q "system is ROBUST to the choice of average" "$SERIAL_DIR/sweep_parallel.txt"
+grep -q "delegate crashes barely change the outcome" "$SERIAL_DIR/sweep_parallel.txt"
+echo "sweep output is byte-identical at --jobs $JOBS and --jobs 1; both verdicts hold"
 
 step "hard perf gate: anu-xtask bench-ratchet vs committed BENCH_history.jsonl"
 # Fails the build when scale-1 fig6 throughput in the fresh manifest drops

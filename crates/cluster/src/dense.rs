@@ -79,11 +79,6 @@ impl<K: DenseId> Interner<K> {
     pub fn get(&self, idx: usize) -> K {
         self.ids[idx]
     }
-
-    /// All ids, in sorted (= index) order.
-    pub fn ids(&self) -> &[K] {
-        &self.ids
-    }
 }
 
 #[cfg(test)]
@@ -109,7 +104,8 @@ mod tests {
         assert_eq!(i.index(FileSetId(10)), 1);
         assert_eq!(i.index(FileSetId(700)), 2);
         assert_eq!(i.try_index(FileSetId(4)), None);
-        assert_eq!(i.ids(), &[FileSetId(3), FileSetId(10), FileSetId(700)]);
+        let ids: Vec<FileSetId> = (0..i.len()).map(|x| i.get(x)).collect();
+        assert_eq!(ids, [FileSetId(3), FileSetId(10), FileSetId(700)]);
     }
 
     #[test]

@@ -29,7 +29,6 @@
 #![forbid(unsafe_code)]
 
 pub mod autoscaler;
-pub mod closed_loop;
 mod dense;
 pub mod faults;
 pub mod metrics;
@@ -39,9 +38,6 @@ pub mod spec;
 pub mod world;
 
 pub use autoscaler::{Autoscaler, AutoscalerConfig, ScaleAction};
-pub use closed_loop::{
-    run_closed_loop, run_closed_loop_traced, ClosedLoopConfig, ClosedLoopResult,
-};
 pub use faults::{plan_faults, FaultPlanConfig};
 pub use metrics::{
     flip_count, late_imbalance, late_mean, oscillation_score, series_points, EpochRecord,

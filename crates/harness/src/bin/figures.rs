@@ -5,8 +5,7 @@
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
 //!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N]
-//!         [--bench-reps R] [--bench-gate] [--multi-world W]
-//!         [--multi-world-scale S]
+//!         [--bench-reps R] [--bench-gate]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
@@ -62,15 +61,9 @@
 //! OK|WARN` verdict. By default the verdict is informational; with
 //! `--bench-gate` a WARN turns into exit code 3 so callers get a real
 //! exit-code contract instead of grepping log lines (0 = pass, 1 = shape
-//! checks failed, 2 = usage error, 3 = perf gate warned). The baseline
+//! checks failed, 2 = usage error, 3 = perf gate warned). A malformed
+//! flag value is a usage error too, reported before any run. The baseline
 //! can be overridden via the `ANU_PERF_BASELINE` environment variable.
-//!
-//! `--multi-world W` appends the partitioned multi-world probe: `W`
-//! independent fig6 worlds (derived seeds, each at `--multi-world-scale`,
-//! default 1) drained by the shared worker pool, recording aggregate
-//! events/sec into the manifest's `multi_world` section. This is the
-//! all-cores throughput number: worlds share nothing, so the pool stays
-//! saturated without any cross-world synchronization.
 //!
 //! Tracing: every figure additionally writes its per-epoch tuner telemetry
 //! to `<figure>_tuner_epochs.csv` and its metrics registry (counters,
@@ -83,19 +76,21 @@
 //! the manifest's deterministic sections are byte-identical at any
 //! `--jobs` value.
 
+mod cli;
+
 use anu_harness::runner;
 use anu_harness::{
     chaos_checks, chaos_experiments, chaos_manifest, chaos_rows, checks_for, checks_table, figure,
     figure_scaled, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_manifest,
-    meanfield_rows, measure_trace_overhead, reduced, run_multi_world, run_scale_bench,
-    series_table, sparklines, storm_cells, storm_checks, storm_experiments, storm_manifest,
-    storm_rows, summary_table, write_chaos_summary_csv, write_figure_csvs_tagged,
-    write_meanfield_cells_csv, write_meanfield_convergence_csv, write_metrics_csv,
-    write_storm_summary_csv, write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS,
-    DEFAULT_SEED, FIGURE_NUMBERS, MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL,
-    STORM_LEVELS,
+    meanfield_rows, measure_trace_overhead, reduced, run_scale_bench, series_table, sparklines,
+    storm_cells, storm_checks, storm_experiments, storm_manifest, storm_rows, summary_table,
+    write_chaos_summary_csv, write_figure_csvs_tagged, write_meanfield_cells_csv,
+    write_meanfield_convergence_csv, write_metrics_csv, write_storm_summary_csv,
+    write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS, DEFAULT_SEED, FIGURE_NUMBERS,
+    MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL, STORM_LEVELS,
 };
 use anu_trace::TraceLevel;
+use cli::{flag_value, usage_error};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -117,8 +112,6 @@ struct Args {
     scale_bench: u64,
     bench_reps: usize,
     bench_gate: bool,
-    multi_world: u64,
-    multi_world_scale: u64,
 }
 
 fn parse_args() -> Args {
@@ -140,106 +133,58 @@ fn parse_args() -> Args {
         scale_bench: 0,
         bench_reps: 3,
         bench_gate: false,
-        multi_world: 0,
-        multi_world_scale: 1,
+    };
+    // Counts that must be at least one: zero is as malformed as "x".
+    let positive = |v: Option<String>, need: &str| match flag_value(v, need) {
+        0 => usage_error(need),
+        n => n,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--fig" => {
-                args.fig = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--fig needs a figure number 6..=11"),
-                )
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer")
-            }
-            "--seeds" => {
-                args.seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&k| k >= 1)
-                    .expect("--seeds needs a count >= 1")
-            }
+            "--fig" => args.fig = Some(flag_value(it.next(), "--fig needs a figure number 6..=11")),
+            "--seed" => args.seed = flag_value(it.next(), "--seed needs an integer"),
+            "--seeds" => args.seeds = positive(it.next(), "--seeds needs a count >= 1"),
             "--jobs" => {
-                args.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count (0 = one per core)")
+                args.jobs = flag_value(it.next(), "--jobs needs a worker count (0 = one per core)")
             }
-            "--out" => args.out = PathBuf::from(it.next().expect("--out needs a path")),
-            "--bench-out" => {
-                args.bench_out = PathBuf::from(it.next().expect("--bench-out needs a path"))
-            }
+            "--out" => args.out = flag_value(it.next(), "--out needs a path"),
+            "--bench-out" => args.bench_out = flag_value(it.next(), "--bench-out needs a path"),
             "--trace-out" => {
-                args.trace_out = Some(PathBuf::from(it.next().expect("--trace-out needs a path")))
+                args.trace_out = Some(flag_value(it.next(), "--trace-out needs a path"))
             }
             "--trace-level" => {
                 args.trace_level = it
                     .next()
                     .as_deref()
                     .and_then(TraceLevel::parse)
-                    .expect("--trace-level needs off|epoch|request")
+                    .unwrap_or_else(|| usage_error("--trace-level needs off|epoch|request"))
             }
             "--series" => args.series = true,
             "--plot" => args.plot = true,
             "--chaos" => args.chaos = true,
             "--storm" => args.storm = true,
             "--meanfield" => args.meanfield = true,
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 1)
-                    .expect("--scale needs a factor >= 1")
-            }
+            "--scale" => args.scale = positive(it.next(), "--scale needs a factor >= 1"),
             "--scale-bench" => {
-                args.scale_bench = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--scale-bench needs a factor (0 = disabled)")
+                args.scale_bench =
+                    flag_value(it.next(), "--scale-bench needs a factor (0 = disabled)")
             }
             "--bench-reps" => {
-                args.bench_reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&r| r >= 1)
-                    .expect("--bench-reps needs a count >= 1")
+                args.bench_reps = positive(it.next(), "--bench-reps needs a count >= 1") as usize
             }
             "--bench-gate" => args.bench_gate = true,
-            "--multi-world" => {
-                args.multi_world = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--multi-world needs a world count (0 = disabled)")
-            }
-            "--multi-world-scale" => {
-                args.multi_world_scale = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&s| s >= 1)
-                    .expect("--multi-world-scale needs a factor >= 1")
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate] [--multi-world W] [--multi-world-scale S]"
+                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate]"
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
     if args.bench_gate && args.scale_bench == 0 {
-        eprintln!("--bench-gate requires --scale-bench N (there is no probe to gate on)");
-        std::process::exit(2);
+        usage_error("--bench-gate requires --scale-bench N (there is no probe to gate on)");
     }
     args
 }
@@ -266,8 +211,7 @@ fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, V
         let tag = (si > 0).then(|| format!("s{seed}"));
         for &n in figures {
             let exp = figure_scaled(n, seed, scale).unwrap_or_else(|| {
-                eprintln!("no figure {n}; the evaluation figures are 6..=11");
-                std::process::exit(2);
+                usage_error(&format!("no figure {n}; the evaluation figures are 6..=11"))
             });
             exps.push(exp);
             entries.push(Entry {
@@ -650,26 +594,6 @@ fn main() {
         over
     });
 
-    // Optional partitioned multi-world probe: aggregate throughput of
-    // independent derived-seed worlds saturating the worker pool.
-    let multi_world = (args.multi_world > 0).then(|| {
-        println!(
-            "\nmulti-world: {} independent fig6 worlds at scale {} on {} workers",
-            args.multi_world, args.multi_world_scale, jobs
-        );
-        let mw = run_multi_world(
-            args.seed,
-            args.multi_world,
-            args.multi_world_scale,
-            args.jobs,
-        );
-        println!(
-            "multi-world aggregate: {} events in {:.2} s -> {:.0} ev/s across {} worlds",
-            mw.sim_events, mw.wall_secs, mw.events_per_sec, mw.worlds
-        );
-        mw
-    });
-
     let events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
     let manifest = runner::manifest(
         args.seed,
@@ -684,7 +608,6 @@ fn main() {
         storm_fragment.as_ref(),
         meanfield_fragment.as_ref(),
         bench.as_ref(),
-        multi_world.as_ref(),
         csv_render_secs,
     );
     std::fs::write(&args.bench_out, manifest.render_pretty()).expect("write bench manifest");

@@ -1,18 +1,13 @@
 //! Ablation and sensitivity sweeps beyond the paper's figures.
 //!
 //! ```text
-//! sweep [--seed S] [--study NAME] [--jobs J] [--scale N]
+//! sweep [--seed S] [--study NAME] [--jobs J]
 //! ```
 //!
 //! `--jobs J` sets the worker-pool width every study's `run_all` uses
 //! (0 = one per core). Results are identical at any `J`; only wall time
-//! changes.
-//!
-//! `--scale N` multiplies every study's file-set and request counts by
-//! `N` while holding offered load constant — a throughput stress of the
-//! simulator hot path, not a different experiment. Scaled output values
-//! are non-canonical; the printed numbers only match the documented
-//! expectations at `--scale 1`.
+//! changes. A malformed flag value or an unknown study exits with code 2
+//! before anything runs.
 //!
 //! Studies:
 //! * `average`    — weighted-mean vs median delegate average (paper §4
@@ -25,36 +20,28 @@
 //!   movement vs the takeover extension vs re-randomizing everything;
 //! * `decentralized` — centralized delegate vs pairwise gossip tuning
 //!   (paper §5 future work);
-//! * `failover`   — periodic delegate crashes (paper §4 statelessness);
+//! * `failover`   — a scripted delegate crash before every third tick
+//!   (paper §4 statelessness);
 //! * `crossover`  — offered-load sweep locating where static placement
 //!   collapses and where ANU's coarse tuning stops tracking prescient;
 //! * `convergence` — tuning activity vs file-set count and skew;
 //! * `scale`      — 50 servers / 5000 file sets end to end;
-//! * `motivation` — closed-loop clients: metadata balance vs SAN
-//!   utilization (the paper's §2 claim);
 //! * `hashing`    — HRW vs speed-weighted HRW vs ANU: what adaptivity
 //!   adds over (even capacity-weighted) static hashing.
 
-use anu_cluster::{late_imbalance, late_mean, ClusterConfig};
+mod cli;
+
+use anu_cluster::{late_imbalance, late_mean, ClusterConfig, FaultEvent};
 use anu_core::{AverageKind, FileSetId, PlacementMap, ServerId, TuningConfig};
 use anu_harness::{Experiment, PolicyKind, PrescientWindow, DEFAULT_SEED};
 use anu_workload::SyntheticConfig;
-
-/// Global `--scale N` factor applied by [`base_experiment`] and
-/// [`study_scale`]; mirrors the `DEFAULT_JOBS` pattern in the runner.
-static SCALE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-
-fn scale_factor() -> u64 {
-    SCALE.load(std::sync::atomic::Ordering::Relaxed).max(1)
-}
+use cli::{flag_value, usage_error};
 
 fn base_experiment(seed: u64, policies: Vec<(String, PolicyKind)>) -> Experiment {
     let cluster = ClusterConfig::paper();
-    let k = scale_factor();
-    let mut cfg = SyntheticConfig::paper(seed);
-    cfg.n_file_sets *= k as usize;
-    cfg.total_requests *= k;
-    let workload = cfg.with_offered_load(0.5, cluster.total_speed()).generate();
+    let workload = SyntheticConfig::paper(seed)
+        .with_offered_load(0.5, cluster.total_speed())
+        .generate();
     Experiment {
         name: "sweep".into(),
         cluster,
@@ -277,6 +264,7 @@ fn study_delegate_failover(seed: u64) {
     println!("--- delegate failover every 3 ticks (paper §4 statelessness) ---");
     use anu_cluster::run;
     use anu_core::AnuConfig;
+    use anu_des::{SimDuration, SimTime};
     use anu_policies::AnuPolicy;
     let exp = base_experiment(seed, vec![]);
     let cfg = AnuConfig {
@@ -284,10 +272,19 @@ fn study_delegate_failover(seed: u64) {
         rounds: anu_core::DEFAULT_ROUNDS,
         tuning: TuningConfig::paper(),
     };
-    let mut stable = AnuPolicy::new(cfg);
-    let stable_run = run(&exp.cluster, &exp.workload, &mut stable);
-    let mut crashy = AnuPolicy::new(cfg).with_delegate_crashes(3);
-    let crashy_run = run(&exp.cluster, &exp.workload, &mut crashy);
+    let stable_run = run(&exp.cluster, &exp.workload, &mut AnuPolicy::new(cfg));
+    // A delegate crash with an instant re-election at every third tick
+    // instant. Faults are scheduled before any tick, and the calendar
+    // breaks time ties by schedule order, so each crash lands just ahead
+    // of its tick: the successor plans that tick with no tuner state.
+    let mut crashy = exp.cluster.clone();
+    let every = SimDuration(3 * crashy.tick.0);
+    let horizon = SimTime::ZERO + exp.workload.duration();
+    crashy.faults = std::iter::successors(Some(SimTime::ZERO + every), |&t| Some(t + every))
+        .take_while(|&at| at <= horizon)
+        .map(|at| FaultEvent::DelegateFail { at, pause_ticks: 0 })
+        .collect();
+    let crashy_run = run(&crashy, &exp.workload, &mut AnuPolicy::new(cfg));
     println!(
         "  stable delegate   late mean {:>7.1} ms   moves {:>4}",
         late_mean(&stable_run.series),
@@ -405,7 +402,6 @@ fn study_scale(seed: u64) {
     // The paper's scalability pitch: shared state grows with servers, not
     // file sets. Run a 50-server, 5000-file-set cluster end to end.
     println!("--- scale: 50 heterogeneous servers, 5000 file sets ---");
-    let k = scale_factor();
     let mut cluster = ClusterConfig::paper();
     cluster.servers = (0..50u32)
         .map(|i| anu_cluster::ServerSpec {
@@ -414,8 +410,8 @@ fn study_scale(seed: u64) {
         })
         .collect();
     let workload = SyntheticConfig {
-        n_file_sets: 5_000 * k as usize,
-        total_requests: 300_000 * k,
+        n_file_sets: 5_000,
+        total_requests: 300_000,
         duration_secs: 6_000.0,
         weights: anu_workload::WeightDist::PowerOfUniform { alpha: 1000.0 },
         mean_cost_secs: 0.0,
@@ -452,59 +448,6 @@ fn study_scale(seed: u64) {
     println!("  expectation: the adaptive advantage survives 10x the paper's cluster size");
 }
 
-fn study_motivation(seed: u64) {
-    // The paper's §2 motivation, measured: "Clients blocked on metadata
-    // may leave the high bandwidth SAN underutilized." Closed-loop clients
-    // cycle metadata -> SAN transfer -> think; a slow metadata tier stalls
-    // the data path.
-    println!("--- motivation: closed-loop clients, SAN utilization by placement policy ---");
-    use anu_cluster::{run_closed_loop, ClosedLoopConfig};
-    let cluster = ClusterConfig::paper();
-    let cfg = ClosedLoopConfig::demo(seed);
-    let policies: Vec<(String, PolicyKind)> = vec![
-        ("round-robin".into(), PolicyKind::RoundRobin),
-        ("simple-randomization".into(), PolicyKind::SimpleRandom),
-        (
-            "anu-randomization".into(),
-            PolicyKind::Anu {
-                tuning: TuningConfig::paper(),
-            },
-        ),
-    ];
-    println!(
-        "  {:<22} {:>10} {:>12} {:>14} {:>12}",
-        "policy", "ops", "ops/s", "cycle ms", "SAN util"
-    );
-    for (label, kind) in policies {
-        // Closed-loop runs have no trace; build the policy against an
-        // empty placeholder workload (prescient is excluded — there is no
-        // future trace to read).
-        let placeholder = SyntheticConfig {
-            n_file_sets: cfg.n_file_sets,
-            total_requests: 1,
-            duration_secs: 1.0,
-            weights: anu_workload::WeightDist::Constant,
-            mean_cost_secs: 0.001,
-            cost: anu_workload::CostModel::Deterministic,
-            seed,
-        }
-        .generate();
-        let mut policy = kind.build(&cluster, &placeholder, seed);
-        let r = run_closed_loop(&cluster, &cfg, policy.as_mut());
-        println!(
-            "  {:<22} {:>10} {:>12.1} {:>14.1} {:>11.1}%",
-            label,
-            r.completed_ops,
-            r.throughput_ops_per_sec,
-            r.mean_cycle_ms,
-            100.0 * r.san_utilization
-        );
-    }
-    println!(
-        "  expectation: balanced metadata placement drives the SAN harder at lower cycle latency"
-    );
-}
-
 fn study_hashing(seed: u64) {
     // What does *adaptivity* add over hashing — plain, and weighted by the
     // true speeds (the CRUSH idea)? Weighted HRW fixes the capacity
@@ -537,79 +480,58 @@ fn study_hashing(seed: u64) {
     println!("  expectation: speed weights fix capacity mismatch, not workload skew; adaptivity fixes both");
 }
 
+/// A study's `--study` name and its entry point, which takes the seed.
+type Study = (&'static str, fn(u64));
+
+/// Every study, in the order a bare `sweep` runs them.
+const STUDIES: [Study; 11] = [
+    ("average", study_average),
+    ("threshold", study_threshold),
+    ("gamma", study_gamma),
+    ("homogeneous", study_homogeneous),
+    ("churn", study_churn),
+    ("decentralized", study_decentralized),
+    ("failover", study_delegate_failover),
+    ("crossover", study_crossover),
+    ("convergence", study_convergence),
+    ("scale", study_scale),
+    ("hashing", study_hashing),
+];
+
 fn main() {
+    let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
+    let usage = format!(
+        "usage: sweep [--seed S] [--jobs J] [--study {}]",
+        names.join("|")
+    );
     let mut seed = DEFAULT_SEED;
     let mut study: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--seed" => seed = it.next().and_then(|v| v.parse().ok()).expect("--seed"),
-            "--study" => study = Some(it.next().expect("--study needs a name")),
-            "--jobs" => anu_harness::set_default_jobs(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count (0 = one per core)"),
-            ),
-            "--scale" => SCALE.store(
-                it.next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &u64| n >= 1)
-                    .expect("--scale needs a factor >= 1"),
-                std::sync::atomic::Ordering::Relaxed,
-            ),
+            "--seed" => seed = flag_value(it.next(), "--seed needs an integer"),
+            "--study" => {
+                let name: String = flag_value(it.next(), &usage);
+                if !names.contains(&name.as_str()) {
+                    usage_error(&format!("unknown study {name}\n{usage}"));
+                }
+                study = Some(name);
+            }
+            "--jobs" => anu_harness::set_default_jobs(flag_value(
+                it.next(),
+                "--jobs needs a worker count (0 = one per core)",
+            )),
             "--help" | "-h" => {
-                println!("usage: sweep [--seed S] [--jobs J] [--scale N] [--study average|threshold|gamma|homogeneous|churn|decentralized|failover|crossover|convergence|scale|motivation|hashing]");
+                println!("{usage}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}\n{usage}")),
         }
     }
-    if scale_factor() > 1 {
-        println!(
-            "scale mode: {}x file sets and requests, offered load held constant (numbers non-canonical)\n",
-            scale_factor()
-        );
-    }
-    let all = [
-        "average",
-        "threshold",
-        "gamma",
-        "homogeneous",
-        "churn",
-        "decentralized",
-        "failover",
-        "crossover",
-        "convergence",
-        "scale",
-        "motivation",
-        "hashing",
-    ];
-    let run: Vec<&str> = match &study {
-        Some(s) => vec![s.as_str()],
-        None => all.to_vec(),
-    };
-    for s in run {
-        match s {
-            "average" => study_average(seed),
-            "threshold" => study_threshold(seed),
-            "gamma" => study_gamma(seed),
-            "homogeneous" => study_homogeneous(seed),
-            "churn" => study_churn(seed),
-            "decentralized" => study_decentralized(seed),
-            "failover" => study_delegate_failover(seed),
-            "crossover" => study_crossover(seed),
-            "convergence" => study_convergence(seed),
-            "scale" => study_scale(seed),
-            "motivation" => study_motivation(seed),
-            "hashing" => study_hashing(seed),
-            other => {
-                eprintln!("unknown study {other}");
-                std::process::exit(2);
-            }
+    for (name, run) in STUDIES {
+        if study.as_deref().is_none_or(|s| s == name) {
+            run(seed);
+            println!();
         }
-        println!();
     }
 }

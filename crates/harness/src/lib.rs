@@ -67,9 +67,8 @@ pub use storm::{
 };
 
 pub use runner::{
-    effective_jobs, gate_exit_code, manifest, measure_trace_overhead, multi_world_experiments,
-    perf_baseline, plan, run_grid, run_grid_traced, run_multi_world, run_scale_bench,
-    set_default_jobs, strip_timing, FigureVerdict, MultiWorld, ScaleBench, SimTask, TaskOutcome,
-    TaskProfile, TraceOverhead, BASELINE_SCALE1_EVENTS_PER_SEC, MANIFEST_SCHEMA,
-    PERF_GATE_THRESHOLD,
+    effective_jobs, gate_exit_code, manifest, measure_trace_overhead, perf_baseline, plan,
+    run_grid, run_grid_traced, run_scale_bench, set_default_jobs, strip_timing, FigureVerdict,
+    ScaleBench, SimTask, TaskOutcome, TaskProfile, TraceOverhead, BASELINE_SCALE1_EVENTS_PER_SEC,
+    MANIFEST_SCHEMA, PERF_GATE_THRESHOLD,
 };

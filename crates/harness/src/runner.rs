@@ -59,8 +59,9 @@ use std::time::Instant;
 /// scales, divergence ceiling, gate verdict, and per-(policy, scale)
 /// divergence rows. v9 removed `bench.queue`: the binary heap is the only
 /// event queue, so `bench.scale_n_events_per_sec` is its one scale-N
-/// probe.
-pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v9";
+/// probe. v10 removed the `multi_world` section: `figures --fig 6 --seeds
+/// W` runs the same derived-seed worlds as ordinary grid tasks.
+pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v10";
 
 /// Recorded scale-1 fig6 throughput baseline (simulated events per
 /// wall-clock second, four-policy aggregate, `--jobs 1`, trace off):
@@ -585,82 +586,6 @@ pub fn run_scale_bench(seed: u64, scale: u64, reps: usize) -> ScaleBench {
     }
 }
 
-/// Result of the `figures --multi-world W` partitioned run: `worlds`
-/// independent fig6 worlds (seeds derived from the base seed via
-/// [`anu_des::task_seed`], each at `scale`) drained by the deterministic
-/// worker pool, with the aggregate events/sec across all of them. On a
-/// many-core machine this is the number that saturates the box: worlds
-/// share nothing, so throughput scales with cores until memory bandwidth
-/// intervenes. Timing data — the whole section is stripped before
-/// determinism comparisons (see [`TIMING_FIELDS`]).
-#[derive(Clone, Copy, Debug)]
-pub struct MultiWorld {
-    /// How many independent worlds ran.
-    pub worlds: u64,
-    /// Scale factor of every world's workload.
-    pub scale: u64,
-    /// Worker-pool size the run used (after auto resolution).
-    pub jobs: usize,
-    /// Total simulated events across all worlds.
-    pub sim_events: u64,
-    /// Wall-clock seconds for the whole partitioned run.
-    pub wall_secs: f64,
-    /// `sim_events / wall_secs` — the aggregate throughput number.
-    pub events_per_sec: f64,
-}
-
-impl MultiWorld {
-    /// The `multi_world` manifest section (schema v5).
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("worlds", Json::u64(self.worlds)),
-            ("scale", Json::u64(self.scale)),
-            ("jobs", Json::usize(self.jobs)),
-            ("sim_events", Json::u64(self.sim_events)),
-            ("wall_secs", Json::f64(self.wall_secs)),
-            ("events_per_sec", Json::f64(self.events_per_sec)),
-        ])
-    }
-}
-
-/// The experiments a `--multi-world` run executes: `worlds` copies of the
-/// fig6 grid, world `w` seeded with `task_seed(base_seed, w)` and scaled
-/// by `scale`. Exposed separately so tests can inspect the plan without
-/// timing anything.
-pub fn multi_world_experiments(base_seed: u64, worlds: u64, scale: u64) -> Vec<Experiment> {
-    (0..worlds.max(1))
-        .map(|w| {
-            let mut exp = crate::figures::figure_scaled(6, anu_des::task_seed(base_seed, w), scale)
-                // anu-lint: allow(panic) -- figure 6 always exists
-                .expect("figure 6 exists");
-            exp.name = format!("mw{w}_{}", exp.name);
-            exp
-        })
-        .collect()
-}
-
-/// Run the partitioned multi-world probe: build the
-/// [`multi_world_experiments`] grid, drain it on the deterministic worker
-/// pool with `jobs` workers (0 = one per core), and aggregate events/sec
-/// across every world×policy task. Tracing is off — this measures the
-/// simulation kernel, and per-world traces at scale are gigabytes.
-pub fn run_multi_world(base_seed: u64, worlds: u64, scale: u64, jobs: usize) -> MultiWorld {
-    let exps = multi_world_experiments(base_seed, worlds, scale);
-    let jobs = effective_jobs(jobs);
-    let t0 = Instant::now();
-    let outcomes = run_grid(&exps, jobs);
-    let wall_secs = t0.elapsed().as_secs_f64();
-    let sim_events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
-    MultiWorld {
-        worlds: worlds.max(1),
-        scale,
-        jobs,
-        sim_events,
-        wall_secs,
-        events_per_sec: sim_events as f64 / wall_secs.max(1e-9),
-    }
-}
-
 /// Regroup grid outcomes by experiment, preserving policy order — the
 /// shape the per-figure check functions and CSV writers consume. The
 /// returned vector has one entry per submitted experiment.
@@ -707,8 +632,7 @@ impl FigureVerdict {
 /// `storm` likewise the [`crate::storm::storm_manifest`] fragment when
 /// the elasticity sweep ran. `scale` is the factor the grid's workloads were multiplied by (1 for
 /// the canonical figures); `bench` is the [`ScaleBench`] probe result
-/// when `--scale-bench` ran, `None` otherwise (serialized as `null`);
-/// `multi_world` likewise for the `--multi-world` partitioned run.
+/// when `--scale-bench` ran, `None` otherwise (serialized as `null`).
 // One parameter per manifest section, called from exactly one place (the
 // figures binary); a builder would be ceremony without safety.
 #[allow(clippy::too_many_arguments)]
@@ -725,7 +649,6 @@ pub fn manifest(
     storm: Option<&Json>,
     meanfield: Option<&Json>,
     bench: Option<&ScaleBench>,
-    multi_world: Option<&MultiWorld>,
     csv_render_secs: f64,
 ) -> Json {
     let total_events: u64 = outcomes.iter().map(|o| o.result.summary.sim_events).sum();
@@ -805,10 +728,6 @@ pub fn manifest(
         ("meanfield", meanfield.cloned().unwrap_or(Json::Null)),
         ("bench", bench.map_or(Json::Null, ScaleBench::to_json)),
         (
-            "multi_world",
-            multi_world.map_or(Json::Null, MultiWorld::to_json),
-        ),
-        (
             "profile",
             Json::obj(vec![
                 ("tasks", totals.to_json()),
@@ -822,15 +741,14 @@ pub fn manifest(
 
 /// Keys of manifest fields that legitimately differ between two runs of
 /// the same grid (they measure the run, not the simulation). The whole
-/// `bench`, `multi_world`, and `profile` sections are timing: they exist
-/// to record throughput and wall-clock attribution.
-pub const TIMING_FIELDS: [&str; 7] = [
+/// `bench` and `profile` sections are timing: they exist to record
+/// throughput and wall-clock attribution.
+pub const TIMING_FIELDS: [&str; 6] = [
     "wall_secs",
     "events_per_sec",
     "jobs",
     "trace_overhead",
     "bench",
-    "multi_world",
     "profile",
 ];
 
@@ -978,14 +896,6 @@ mod tests {
             scale_n_events_per_sec: 1.5e7,
             baseline: BASELINE_SCALE1_EVENTS_PER_SEC,
         };
-        let mw = MultiWorld {
-            worlds: 4,
-            scale: 2,
-            jobs: 2,
-            sim_events: 1_000_000,
-            wall_secs: 0.5,
-            events_per_sec: 2e6,
-        };
         let ma = manifest(
             5,
             1,
@@ -999,7 +909,6 @@ mod tests {
             Some(&storm),
             Some(&meanfield),
             Some(&bench),
-            Some(&mw),
             0.02,
         );
         let mb = manifest(
@@ -1015,7 +924,6 @@ mod tests {
             Some(&storm),
             Some(&meanfield),
             None,
-            None,
             0.01,
         );
         assert_ne!(ma, mb, "timing fields must differ");
@@ -1029,10 +937,6 @@ mod tests {
         assert!(
             !stripped.contains("\"bench\""),
             "bench is timing data and must strip"
-        );
-        assert!(
-            !stripped.contains("\"multi_world\""),
-            "multi_world is timing data and must strip"
         );
         assert!(
             !stripped.contains("\"profile\""),
@@ -1070,11 +974,10 @@ mod tests {
             None,
             None,
             None,
-            None,
             0.0,
         );
         assert_eq!(m.get("schema").unwrap().as_str().unwrap(), MANIFEST_SCHEMA);
-        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v9");
+        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v10");
         assert_eq!(m.get("base_seed").unwrap().as_u64().unwrap(), 5);
         assert_eq!(m.get("scale").unwrap().as_u64().unwrap(), 1);
         assert_eq!(m.get("tasks_total").unwrap().as_usize().unwrap(), 3);
@@ -1084,7 +987,7 @@ mod tests {
         assert_eq!(m.get("storm").unwrap(), &Json::Null);
         assert_eq!(m.get("meanfield").unwrap(), &Json::Null);
         assert_eq!(m.get("bench").unwrap(), &Json::Null);
-        assert_eq!(m.get("multi_world").unwrap(), &Json::Null);
+        assert!(m.get("multi_world").is_err(), "v10 has no multi_world");
         assert!(!m.get("all_pass").unwrap().as_bool().unwrap());
         let tasks = m.get("tasks").unwrap().as_arr().unwrap();
         assert_eq!(tasks.len(), 3);
@@ -1188,24 +1091,6 @@ mod tests {
         // A shape failure overrides the bench verdict either way.
         assert_eq!(gate_exit_code(false, false), 1);
         assert_eq!(gate_exit_code(false, true), 1);
-    }
-
-    #[test]
-    fn multi_world_plan_is_deterministic_and_distinct() {
-        let exps = multi_world_experiments(42, 3, 2);
-        assert_eq!(exps.len(), 3);
-        let names: Vec<&str> = exps.iter().map(|e| e.name.as_str()).collect();
-        assert_eq!(names, ["mw0_fig6", "mw1_fig6", "mw2_fig6"]);
-        // Worlds get distinct derived seeds, and rebuilding the plan
-        // reproduces them exactly.
-        assert_ne!(exps[0].seed, exps[1].seed);
-        let again = multi_world_experiments(42, 3, 2);
-        for (a, b) in exps.iter().zip(&again) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.name, b.name);
-        }
-        // Zero worlds clamps to one instead of an empty (0-event) run.
-        assert_eq!(multi_world_experiments(42, 0, 1).len(), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The `figures` exit-code contract `ci/check.sh` consumes.
+//! The `figures` exit-code contract `ci/check.sh` consumes, and the
+//! usage-error code `figures` and `sweep` share.
 //!
 //! Exit 0 = checks + gate pass, 2 = usage error, 3 = `--bench-gate`
 //! armed and the throughput probe fell below the soft threshold. (Exit 1
@@ -93,8 +94,53 @@ fn bench_gate_without_probe_is_a_usage_error() {
     assert_eq!(code, 2, "--bench-gate without --scale-bench is misuse");
 }
 
+/// Every malformed command line exits 2 before any run and says what was
+/// wrong on stderr. None of these may panic (exit 101).
 #[test]
 fn unknown_argument_is_a_usage_error() {
-    let (code, _) = run_figures(&["--no-such-flag"], &[]);
-    assert_eq!(code, 2);
+    let figures = env!("CARGO_BIN_EXE_figures");
+    let sweep = env!("CARGO_BIN_EXE_sweep");
+    let cases: [(&str, &[&str], &str); 11] = [
+        (
+            figures,
+            &["--no-such-flag"],
+            "unknown argument --no-such-flag",
+        ),
+        (figures, &["--seeds", "0"], "--seeds needs a count >= 1"),
+        (figures, &["--jobs", "x"], "--jobs needs a worker count"),
+        (figures, &["--fig"], "--fig needs a figure number"),
+        (
+            figures,
+            &["--trace-level", "loud"],
+            "--trace-level needs off|epoch|request",
+        ),
+        (figures, &["--scale", "0"], "--scale needs a factor >= 1"),
+        (sweep, &["--seed", "x"], "--seed needs an integer"),
+        (sweep, &["--jobs", "-1"], "--jobs needs a worker count"),
+        (sweep, &["--study"], "usage: sweep"),
+        (
+            sweep,
+            &["--study", "nope"],
+            "unknown study nope\nusage: sweep",
+        ),
+        (
+            sweep,
+            &["--study", "motivation"],
+            "unknown study motivation",
+        ),
+    ];
+    for (bin, args, want) in cases {
+        let out = Command::new(bin).args(args).output().expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{bin} {args:?} must be a usage error, stderr:\n{stderr}"
+        );
+        assert!(
+            stderr.contains(want),
+            "{bin} {args:?}: stderr lacks {want:?}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bin} {args:?} ran something");
+    }
 }

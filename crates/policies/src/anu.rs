@@ -38,14 +38,12 @@ pub struct AnuPolicy {
     cfg: AnuConfig,
     map: Option<PlacementMap>,
     planner: Box<dyn SharePlanner>,
-    /// Periodically drop planner state, simulating delegate failovers
-    /// (`None` = never).
-    delegate_crash_every: Option<u64>,
-    /// Ticks left to sit out while a new delegate is elected after an
-    /// injected delegate crash. While positive, ticks produce no moves
-    /// and no telemetry; the new delegate then resumes from the shares
-    /// the placement map already holds (the paper's statelessness
-    /// claim — no tuner state survives the crash, the map is enough).
+    /// Ticks left to sit out while a new delegate is elected after a
+    /// delegate crash ([`PlacementPolicy::on_delegate_fail`]). While
+    /// positive, ticks produce no moves and no telemetry; the new
+    /// delegate then resumes from the shares the placement map already
+    /// holds (the paper's statelessness claim — no tuner state survives
+    /// the crash, the map is enough).
     pause_ticks_left: u32,
     file_sets: Vec<FileSetId>,
     /// Tuned share fractions of servers retired by a *planned*
@@ -72,7 +70,6 @@ impl AnuPolicy {
             cfg,
             map: None,
             planner: Box::new(Tuner::new(cfg.tuning)),
-            delegate_crash_every: None,
             pause_ticks_left: 0,
             file_sets: Vec::new(),
             parked_shares: BTreeMap::new(),
@@ -98,17 +95,6 @@ impl AnuPolicy {
         })
     }
 
-    /// Simulate a delegate crash every `n` ticks: the planner's
-    /// cross-interval state is dropped before the n-th, 2n-th, … tick.
-    /// Exercises the paper's statelessness claim — "if the delegate fails,
-    /// the next elected delegate runs the same protocol with the same
-    /// information".
-    pub fn with_delegate_crashes(mut self, every_n_ticks: u64) -> Self {
-        assert!(every_n_ticks > 0);
-        self.delegate_crash_every = Some(every_n_ticks);
-        self
-    }
-
     /// Access the live placement map (None before `initial`).
     pub fn map(&self) -> Option<&PlacementMap> {
         self.map.as_ref()
@@ -117,12 +103,6 @@ impl AnuPolicy {
     /// `(ticks that produced moves, total ticks)` — convergence diagnostic.
     pub fn tick_stats(&self) -> (u64, u64) {
         (self.ticks_with_moves, self.ticks_total)
-    }
-
-    /// Simulate a delegate failover: the next divergent-tuning decision has
-    /// no previous-interval state to compare against.
-    pub fn delegate_failover(&mut self) {
-        self.planner.forget();
     }
 
     fn target_assignment(
@@ -165,11 +145,6 @@ impl PlacementPolicy for AnuPolicy {
             self.pause_ticks_left -= 1;
             self.last_epoch = None;
             return Vec::new();
-        }
-        if let Some(every) = self.delegate_crash_every {
-            if self.ticks_total.is_multiple_of(every) {
-                self.planner.forget();
-            }
         }
         // anu-lint: allow(panic) -- the policy contract runs initial before any tick
         let map = self.map.as_mut().expect("initial ran");

@@ -2,71 +2,151 @@
 //!
 //! The dense `Vec`-indexed world state (interned server/file-set ids,
 //! alias-table sampling) must be *observationally identical* to the
-//! original `BTreeMap`-keyed implementation. These fingerprints were
+//! original `BTreeMap`-keyed implementation. The first fingerprints were
 //! generated on the commit **before** the rewrite, from the exact same
 //! experiments: reduced figure 6 and figure 8 configurations over ten
-//! seeds, hashing each policy's label, its full `RunSummary` debug
-//! rendering, and the bytes of its per-server series CSV.
+//! seeds, hashing each policy's label, its `RunSummary`, and the bytes of
+//! its per-server series CSV.
 //!
 //! If one of these assertions fires, the hot path changed behaviour —
 //! not just speed. That is a correctness bug (or an intentional change
 //! that must re-pin every golden output in the repo, not just these).
 //!
-//! Re-pinned twice since the original capture: `RunSummary` gained the
-//! elasticity fields (shed/scale counts, Jain fairness, per-set p99),
-//! then the `completion_fairness` index — both changed its hashed debug
-//! rendering. The committed series CSVs were byte-identical across both
-//! changes (`tests/golden_outputs.rs` pins them independently) — the
-//! trajectory itself never moved, only the summary text.
+//! The summary is hashed as data, not as its `Debug` text: every field
+//! under its own name, floats by their IEEE-754 bits, per-server maps in
+//! key order. [`hash_summary`] destructures `RunSummary` with no `..`, so
+//! a new field does not compile until it is placed there. The `Debug`
+//! fingerprints had to be re-pinned twice as `RunSummary` grew; the
+//! current constants were pinned on a commit where those older
+//! fingerprints also passed, so both vouch for the same trajectories.
 
+use anu_cluster::RunSummary;
+use anu_core::ServerId;
 use anu_harness::{figure, reduced, Experiment};
+use std::collections::BTreeMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc ^= u64::from(b);
-        acc = acc.wrapping_mul(FNV_PRIME);
+/// FNV-1a over a stream of named fields.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
     }
-    acc
+
+    fn u64(&mut self, name: &str, v: &u64) {
+        self.bytes(name.as_bytes());
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, name: &str, v: &f64) {
+        self.u64(name, &v.to_bits());
+    }
+
+    fn map<V>(&mut self, name: &str, m: &BTreeMap<ServerId, V>, bits: impl Fn(&V) -> u64) {
+        self.u64(name, &(m.len() as u64));
+        for (server, v) in m {
+            self.bytes(&server.0.to_le_bytes());
+            self.bytes(&bits(v).to_le_bytes());
+        }
+    }
+
+    fn f64_map(&mut self, name: &str, m: &BTreeMap<ServerId, f64>) {
+        self.map(name, m, |v| v.to_bits());
+    }
+
+    fn u64_map(&mut self, name: &str, m: &BTreeMap<ServerId, u64>) {
+        self.map(name, m, |v| *v);
+    }
 }
 
-/// Pre-rewrite fingerprints of reduced figure 6 (dfstrace-like workload,
+/// Destructure a `RunSummary` exhaustively and hash each field, tagged
+/// with its name, by the given [`Fnv`] method.
+macro_rules! hash_fields {
+    ($h:expr, $summary:expr, { $($kind:ident $field:ident),* $(,)? }) => {{
+        let RunSummary { $($field),* } = $summary;
+        $( $h.$kind(stringify!($field), $field); )*
+    }};
+}
+
+fn hash_summary(h: &mut Fnv, summary: &RunSummary) {
+    hash_fields!(h, summary, {
+        u64 offered_requests,
+        u64 completed_requests,
+        f64 mean_latency_ms,
+        f64 max_latency_ms,
+        f64_map per_server_mean_ms,
+        u64_map per_server_requests,
+        f64_map per_server_utilization,
+        u64 migrations,
+        u64 sim_events,
+        f64 late_imbalance_cov,
+        f64 late_mean_latency_ms,
+        f64 p50_latency_ms,
+        f64 p95_latency_ms,
+        f64 p99_latency_ms,
+        u64 max_queue_depth,
+        u64 band_freezes,
+        u64 divergent_freezes,
+        u64 factor_clamps,
+        f64 unavailable_secs,
+        u64 unavailability_windows,
+        f64 mean_rebalance_secs,
+        f64 max_rebalance_secs,
+        u64 requests_requeued,
+        f64 degraded_capacity_secs,
+        u64 audit_checks,
+        u64 audit_violations,
+        u64 requests_shed,
+        u64 scale_ups,
+        u64 scale_downs,
+        f64 jain_fairness,
+        f64 completion_fairness,
+        f64 p99_per_file_set_max,
+    });
+}
+
+/// Fingerprints of reduced figure 6 (dfstrace-like workload,
 /// four policies) at seeds 1..=10.
 const FIG6_REFERENCE: [u64; 10] = [
-    0x9a2706156a8c403e,
-    0x801cf4965cb8cc30,
-    0x14d8fcbac1b15c2e,
-    0x053ab530e9eaf047,
-    0x924602ad657c67a4,
-    0x398819eb4fa9f943,
-    0xdd333c5bfd056392,
-    0xc345e4fba5db1ebc,
-    0x4b577ab82c1d9e90,
-    0x6bf6c1ec2484ee68,
+    0xc0f76ec6a287399f,
+    0x200753541f3fe9b0,
+    0x44e1f15597d7d453,
+    0xd12089b63e343978,
+    0x8ff67ea71c0be8a2,
+    0xfe999d159c845ed3,
+    0x3b82f34005157722,
+    0xee9f749425fd53ab,
+    0x0584e2fefd27e348,
+    0x413406d697193a5d,
 ];
 
-/// Pre-rewrite fingerprints of reduced figure 8 (synthetic workload) at
+/// Fingerprints of reduced figure 8 (synthetic workload) at
 /// seeds 1..=10.
 const FIG8_REFERENCE: [u64; 10] = [
-    0x7e552b417e5208f4,
-    0xbf89d8ae91149270,
-    0x1ff2c8736b054b4d,
-    0x1e5b69e22eee86db,
-    0xcc97fa4a3f670592,
-    0xcdbdd15da4d356d0,
-    0xc50e2d63218e305d,
-    0x51b535d01b850a55,
-    0xcbbc3767dbab16ca,
-    0xf9d4acc79eb7aee9,
+    0xb8550f1e11d3620a,
+    0x6d693a3e3ce0270e,
+    0x499e77d7a30a0f8c,
+    0xe9370abf9b98e1ea,
+    0x9000ef8a802765bb,
+    0x9e3940972eb3c65f,
+    0x48e9b2d4147c074a,
+    0x14b6d8c2d04ef950,
+    0xb66efa007eecba23,
+    0xe4f17d11726428b2,
 ];
 
 fn reduced_figure(fig: u32, seed: u64) -> Experiment {
     reduced(figure(fig, seed).expect("figure exists"), seed)
 }
 
-/// Hash every policy's observable output: label, summary, series CSV.
+/// Hash every policy's observable output: label, summary fields, series
+/// CSV bytes.
 fn fingerprint(results: &[anu_cluster::RunResult]) -> u64 {
     let tmp = std::env::temp_dir().join(format!(
         "anu_scale_equiv_{}_{:x}",
@@ -75,15 +155,15 @@ fn fingerprint(results: &[anu_cluster::RunResult]) -> u64 {
     ));
     std::fs::create_dir_all(&tmp).expect("temp dir");
     let path = tmp.join("series.csv");
-    let mut acc = FNV_OFFSET;
+    let mut h = Fnv(FNV_OFFSET);
     for r in results {
-        acc = fnv1a(acc, r.policy.as_bytes());
-        acc = fnv1a(acc, format!("{:?}", r.summary).as_bytes());
+        h.bytes(r.policy.as_bytes());
+        hash_summary(&mut h, &r.summary);
         anu_harness::report::write_series_csv(r, &path).expect("write series csv");
-        acc = fnv1a(acc, &std::fs::read(&path).expect("read series csv"));
+        h.bytes(&std::fs::read(&path).expect("read series csv"));
     }
     let _ = std::fs::remove_dir_all(&tmp);
-    acc
+    h.0
 }
 
 #[test]
