@@ -2,8 +2,8 @@
 # Local CI gate. Runs everything a PR must pass, in cheap-to-expensive
 # order: formatting, the clippy wall (default and no-default-features),
 # the repo's own lint driver, the tier-1 build and test suite, the
-# figures and sweep determinism gates (parallel run byte-identical to
-# serial), and the hard perf ratchet (fresh throughput vs committed
+# figures determinism gate with every side section (parallel run
+# byte-identical to serial), and the hard perf ratchet (fresh throughput vs committed
 # BENCH_history.jsonl).
 # Fails fast on the first broken step and prints a per-step timing
 # summary at the end.
@@ -145,7 +145,7 @@ cargo build --release
 step "tier-1: cargo test"
 cargo test -q
 
-step "figures + chaos + storm + meanfield + trace determinism gate (--jobs \$(nproc) vs --jobs 1)"
+step "figures + chaos + storm + meanfield + ablations + trace determinism gate (--jobs \$(nproc) vs --jobs 1)"
 JOBS="$(nproc)"
 SERIAL_DIR="$(mktemp -d)"
 trap 'rm -rf "$SERIAL_DIR"' EXIT
@@ -154,17 +154,19 @@ trap 'rm -rf "$SERIAL_DIR"' EXIT
 # the storm sweep (elasticity grid, storm_* series + storm_summary.csv),
 # the mean-field sweep (analytic-oracle cross-validation, meanfield_*.csv
 # — its divergence must shrink monotonically with scale and end <= 10%
-# for every policy, a hard check), the epoch-level JSONL traces under
-# out/trace/, the bench manifest (with the scale-1 and scale-100 fig6
-# throughput probes), and enforces every
-# figure's, chaos cell's, storm cell's and meanfield divergence checks.
+# for every policy, a hard check), the ablation studies
+# (ablations_summary.csv; the delegate-average, delegate-failover and
+# churn-movement checks), the epoch-level JSONL traces under out/trace/,
+# the bench manifest (with the scale-1 and scale-100 fig6 throughput
+# probes), and enforces every figure's, chaos cell's, storm cell's,
+# meanfield divergence and ablation checks.
 # --bench-gate arms the exit-code contract: 0 = all pass, 1 = shape/chaos
 # checks failed, 3 = checks passed but throughput fell below 0.8x of the
 # in-process baseline (advisory here — the hard gate is bench-ratchet
 # below, which compares against the committed history instead of grepping
 # log lines).
 FIGURES_RC=0
-./target/release/figures --jobs "$JOBS" --chaos --storm --meanfield --out out \
+./target/release/figures --jobs "$JOBS" --chaos --storm --meanfield --ablations --out out \
     --bench-out BENCH_figures.json --scale-bench 100 --bench-gate \
     --trace-out out/trace --trace-level epoch || FIGURES_RC=$?
 case "$FIGURES_RC" in
@@ -172,14 +174,14 @@ case "$FIGURES_RC" in
     3) echo "WARNING: fig6 throughput below 0.8x the recorded constant baseline (soft verdict — bench-ratchet decides)" ;;
     *) echo "figures exited with $FIGURES_RC (shape/chaos checks failed)" >&2; exit "$FIGURES_RC" ;;
 esac
-# ...then a serial re-run must reproduce the same bytes, chaos, storm and
-# meanfield outputs and traces included (the throughput probes are
-# timing-only, so they are skipped).
-./target/release/figures --jobs 1 --chaos --storm --meanfield --out "$SERIAL_DIR/out" \
+# ...then a serial re-run must reproduce the same bytes, chaos, storm,
+# meanfield and ablation outputs and traces included (the throughput
+# probes are timing-only, so they are skipped).
+./target/release/figures --jobs 1 --chaos --storm --meanfield --ablations --out "$SERIAL_DIR/out" \
     --bench-out "$SERIAL_DIR/BENCH_figures.json" \
     --trace-out "$SERIAL_DIR/out/trace" --trace-level epoch >/dev/null
 diff -r out "$SERIAL_DIR/out"
-echo "out/ (series, tuner epochs, metrics, chaos + storm + meanfield CSVs, JSONL+ring traces) is byte-identical at --jobs $JOBS and --jobs 1"
+echo "out/ (series, tuner epochs, metrics, chaos + storm + meanfield + ablation CSVs, JSONL+ring traces) is byte-identical at --jobs $JOBS and --jobs 1"
 
 step "anu-inspect --check over every recorded trace (JSONL + binary ring)"
 # Every trace the gate just wrote must reconstruct with clean integrity:
@@ -187,19 +189,6 @@ step "anu-inspect --check over every recorded trace (JSONL + binary ring)"
 # telescopes to each recorded latency.
 ./target/release/anu-inspect --check out/trace/*.jsonl out/trace/*.ring >/dev/null
 echo "all recorded traces pass span-integrity checks"
-
-step "sweep determinism + verdicts (--jobs \$(nproc) vs --jobs 1)"
-# The ablation studies print numbers rather than gate them, but two of
-# them end in a verdict line the paper's claims rest on: the delegate
-# average (robust to mean vs median) and delegate failover (crashes
-# barely change the outcome). Both must hold, and the whole printout
-# must be byte-identical at any worker count.
-./target/release/sweep --jobs "$JOBS" > "$SERIAL_DIR/sweep_parallel.txt"
-./target/release/sweep --jobs 1 > "$SERIAL_DIR/sweep_serial.txt"
-diff "$SERIAL_DIR/sweep_parallel.txt" "$SERIAL_DIR/sweep_serial.txt"
-grep -q "system is ROBUST to the choice of average" "$SERIAL_DIR/sweep_parallel.txt"
-grep -q "delegate crashes barely change the outcome" "$SERIAL_DIR/sweep_parallel.txt"
-echo "sweep output is byte-identical at --jobs $JOBS and --jobs 1; both verdicts hold"
 
 step "hard perf gate: anu-xtask bench-ratchet vs committed BENCH_history.jsonl"
 # Fails the build when scale-1 fig6 throughput in the fresh manifest drops

@@ -85,7 +85,7 @@ fn bench_membership_movement() {
     // Not a timing question but a cost-model one; expressed as a benchmark
     // over the relocation scan so regressions in movement volume surface as
     // time (more moved sets => more downstream migration work). The actual
-    // movement *counts* are printed by `sweep --study churn`.
+    // movement *counts* are the churn check of `figures --ablations`.
     let servers: Vec<ServerId> = (0..20).map(ServerId).collect();
     let names: Vec<[u8; 8]> = (0..5000u64).map(|i| FileSetId(i).name_bytes()).collect();
     bench(

@@ -1,4 +1,4 @@
-//! Command-line helpers the `figures` and `sweep` binaries share.
+//! Command-line helpers the `figures` and `tracegen` binaries share.
 
 /// Print `msg` to stderr and exit with code 2, the usage-error code of
 /// the `anu_harness::gate_exit_code` contract. Every malformed command

@@ -4,8 +4,8 @@
 //! ```text
 //! figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR]
 //!         [--bench-out FILE] [--trace-out DIR] [--trace-level LVL]
-//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N]
-//!         [--bench-reps R] [--bench-gate]
+//!         [--series] [--plot] [--chaos] [--storm] [--meanfield] [--ablations]
+//!         [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate]
 //! ```
 //!
 //! The full {figure × policy × seed} grid is enumerated as independent
@@ -22,33 +22,23 @@
 //! (wall time, per-task simulated events/sec, verdicts) is written to
 //! `--bench-out` (default `BENCH_figures.json`).
 //!
-//! `--chaos` appends the fault-intensity sweep: the four-policy lineup
-//! under escalating deterministic fault scripts (crashes, slowdowns,
-//! report loss, delegate failures), writing `chaos_*.csv` series plus the
-//! `chaos_summary.csv` availability table to `--out` and a `chaos`
-//! section into the manifest. Its robustness checks (auditor clean, no
-//! lost requests, tuning resumes after re-election) count toward the exit
-//! code like the figure shape checks.
+//! Side sections run grids of their own at the base seed and scale 1,
+//! whatever `--seeds` and `--scale` say. Each adds a manifest section, and
+//! its checks gate the exit code like the figure shape checks:
 //!
-//! `--storm` appends the elasticity sweep: ANU on the standby-extended
-//! paper cluster (autoscaler + shed) under every storm kind (flash crowd,
-//! diurnal, popularity shift, adversarial hot set) at every intensity,
-//! with heavy-tailed Pareto demands and membership-churn faults, plus the
-//! balanced convergence cell. Writes `storm_*.csv` series and
-//! `storm_summary.csv` (Jain fairness, per-file-set p99, shed/scale
-//! counters) to `--out` and a `storm` section into the manifest (schema
-//! v7); its robustness checks gate the exit code like the figure checks.
+//! * `--chaos` — the four-policy lineup under escalating fault scripts
+//!   (`anu_harness::chaos`): `chaos_*.csv` series and `chaos_summary.csv`;
+//! * `--storm` — ANU on the standby-extended cluster under storm workloads
+//!   and membership churn (`anu_harness::storm`): `storm_*.csv` series and
+//!   `storm_summary.csv`;
+//! * `--meanfield` — simulated per-server means against the analytic
+//!   oracle (`anu_harness::meanfield`): `meanfield_cells.csv` and
+//!   `meanfield_convergence.csv`;
+//! * `--ablations` — the ablation studies beyond the figures
+//!   (`anu_harness::ablation`): `ablations_summary.csv`.
 //!
-//! `--meanfield` appends the mean-field cross-validation sweep: every
-//! modeled policy (the four-policy lineup plus rendezvous) on growing
-//! scales of the synthetic cell, scored against the `anu-analytic`
-//! oracle's fixed-point predictions. Writes `meanfield_cells.csv`
-//! (prediction next to measurement, per server) and
-//! `meanfield_convergence.csv` (request-weighted relative divergence per
-//! policy and scale) to `--out` and a `meanfield` section into the
-//! manifest (schema v8). Its gate — divergence shrinks monotonically in
-//! scale and ends at or below 10% for every policy — counts toward the
-//! exit code like the figure shape checks.
+//! The meanfield and ablation grids run untraced and write only their
+//! summaries.
 //!
 //! Scale mode: `--scale N` multiplies every figure's file-set and request
 //! counts by `N` at constant offered load — a hot-path stress run over an
@@ -78,21 +68,27 @@
 
 mod cli;
 
-use anu_harness::runner;
+use anu_cluster::RunResult;
+use anu_harness::runner::{self, Section, TaskOutcome, SECTIONS};
 use anu_harness::{
-    chaos_checks, chaos_experiments, chaos_manifest, chaos_rows, checks_for, checks_table, figure,
-    figure_scaled, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_manifest,
-    meanfield_rows, measure_trace_overhead, reduced, run_scale_bench, series_table, sparklines,
-    storm_cells, storm_checks, storm_experiments, storm_manifest, storm_rows, summary_table,
-    write_chaos_summary_csv, write_figure_csvs_tagged, write_meanfield_cells_csv,
-    write_meanfield_convergence_csv, write_metrics_csv, write_storm_summary_csv,
-    write_tuner_epochs_csv, Experiment, FigureVerdict, CHAOS_LEVELS, DEFAULT_SEED, FIGURE_NUMBERS,
-    MEANFIELD_REPLICAS, MEANFIELD_SCALES, PLAIN_ANU_LABEL, STORM_LEVELS,
+    ablation_section, chaos_section, checks_for, checks_table, figure, figure_scaled, file_stem,
+    meanfield_section, measure_trace_overhead, reduced, run_scale_bench, series_table, sparklines,
+    storm_section, summary_table, write_figure_csvs_tagged, write_metrics_csv,
+    write_tuner_epochs_csv, Experiment, FigureVerdict, DEFAULT_SEED, FIGURE_NUMBERS,
+    PLAIN_ANU_LABEL,
 };
 use anu_trace::TraceLevel;
 use cli::{flag_value, usage_error};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// The side sections, in [`SECTIONS`] order; `--<name>` runs each.
+const SIDE: [fn(u64) -> Section; 4] = [
+    chaos_section,
+    storm_section,
+    meanfield_section,
+    ablation_section,
+];
 
 struct Args {
     fig: Option<u32>,
@@ -105,9 +101,8 @@ struct Args {
     trace_level: TraceLevel,
     series: bool,
     plot: bool,
-    chaos: bool,
-    storm: bool,
-    meanfield: bool,
+    /// Which of [`SIDE`] run.
+    side: [bool; 4],
     scale: u64,
     scale_bench: u64,
     bench_reps: usize,
@@ -126,9 +121,7 @@ fn parse_args() -> Args {
         trace_level: TraceLevel::Epoch,
         series: false,
         plot: false,
-        chaos: false,
-        storm: false,
-        meanfield: false,
+        side: [false; 4],
         scale: 1,
         scale_bench: 0,
         bench_reps: 3,
@@ -141,6 +134,13 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if let Some(i) = SECTIONS
+            .iter()
+            .position(|s| a.strip_prefix("--") == Some(*s))
+        {
+            args.side[i] = true;
+            continue;
+        }
         match a.as_str() {
             "--fig" => args.fig = Some(flag_value(it.next(), "--fig needs a figure number 6..=11")),
             "--seed" => args.seed = flag_value(it.next(), "--seed needs an integer"),
@@ -162,9 +162,6 @@ fn parse_args() -> Args {
             }
             "--series" => args.series = true,
             "--plot" => args.plot = true,
-            "--chaos" => args.chaos = true,
-            "--storm" => args.storm = true,
-            "--meanfield" => args.meanfield = true,
             "--scale" => args.scale = positive(it.next(), "--scale needs a factor >= 1"),
             "--scale-bench" => {
                 args.scale_bench =
@@ -176,7 +173,7 @@ fn parse_args() -> Args {
             "--bench-gate" => args.bench_gate = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate]"
+                    "usage: figures [--fig N] [--seed S] [--seeds K] [--jobs J] [--out DIR] [--bench-out FILE] [--trace-out DIR] [--trace-level off|epoch|request] [--series] [--plot] [--chaos] [--storm] [--meanfield] [--ablations] [--scale N] [--scale-bench N] [--bench-reps R] [--bench-gate]"
                 );
                 std::process::exit(0);
             }
@@ -199,14 +196,15 @@ struct Entry {
     emit: bool,
 }
 
-/// Enumerate the figure/seed grid. When figure 11 is requested without
+/// Enumerate the figure/seed grid. When figure 11 is checked without
 /// figure 10, a checks-only "support" run of the fig10 no-heuristics
 /// policy is appended per seed, so the decomposition baseline comes from
-/// the same pooled sweep instead of a separate serial run.
+/// the same pooled sweep instead of a separate serial run. Scaled grids
+/// skip the checks, so they skip the support run too.
 fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, Vec<Entry>) {
     let mut exps = Vec::new();
     let mut entries = Vec::new();
-    let needs_support = figures.contains(&11) && !figures.contains(&10);
+    let needs_support = scale == 1 && figures.contains(&11) && !figures.contains(&10);
     for (si, &seed) in seeds.iter().enumerate() {
         let tag = (si > 0).then(|| format!("s{seed}"));
         for &n in figures {
@@ -239,21 +237,95 @@ fn build_grid(figures: &[u32], seeds: &[u64], scale: u64) -> (Vec<Experiment>, V
     (exps, entries)
 }
 
-/// The `anu-no-heuristics` baseline result for `seed`, from whichever grid
-/// entry ran it (the full figure 10 when present, the support run
-/// otherwise).
-fn find_plain<'a>(
-    entries: &[Entry],
-    grouped: &'a [Vec<runner::TaskOutcome>],
-    seed: u64,
-) -> Option<&'a anu_cluster::RunResult> {
-    entries
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.figure == 10 && e.seed == seed)
-        .flat_map(|(i, _)| &grouped[i])
-        .map(|o| &o.result)
-        .find(|r| r.policy == PLAIN_ANU_LABEL)
+/// Write every outcome's trace into `dir` as `<stem>.jsonl` plus the
+/// binary `<stem>.ring` dump `anu-inspect` reads, with the stems the CSVs
+/// use (`tag` maps an experiment index to its derived-seed tag).
+fn dump_traces<'a>(dir: &Path, outcomes: &[TaskOutcome], tag: impl Fn(usize) -> Option<&'a str>) {
+    std::fs::create_dir_all(dir).expect("create trace dir");
+    for o in outcomes {
+        let stem = file_stem(&o.task.name, tag(o.task.experiment), &o.task.label);
+        let body: String = o.trace_lines.iter().flat_map(|l| [l, "\n"]).collect();
+        std::fs::write(dir.join(format!("{stem}.jsonl")), body).expect("write trace");
+        std::fs::write(dir.join(format!("{stem}.ring")), &o.trace_ring).expect("write ring trace");
+    }
+    println!(
+        "wrote {} JSONL+ring traces to {}",
+        outcomes.len(),
+        dir.display()
+    );
+}
+
+/// Print one experiment's header and summary table (and the `--series` /
+/// `--plot` renderings), then, when `csvs`, write its series, tuner-epoch
+/// and metrics CSVs to `--out`. Returns the seconds spent writing.
+fn emit(
+    args: &Args,
+    exp: &Experiment,
+    tag: Option<&str>,
+    results: &[RunResult],
+    csvs: bool,
+) -> f64 {
+    let stats = exp.workload.stats();
+    println!(
+        "\n=== {} (seed {}) — {} requests, {} file sets, {:.0} s, {} fault events, {} policies ===",
+        exp.name,
+        exp.seed,
+        stats.total_requests,
+        exp.workload.n_file_sets,
+        stats.duration_secs,
+        exp.cluster.faults.len(),
+        exp.policies.len()
+    );
+    println!("{}", summary_table(results));
+    for r in results {
+        if args.series {
+            println!("{}", series_table(r));
+        }
+        if args.plot {
+            println!("{}", sparklines(r));
+        }
+    }
+    if !csvs {
+        return 0.0;
+    }
+    let t0 = Instant::now();
+    write_figure_csvs_tagged(&exp.name, tag, results, &args.out).expect("write series CSVs");
+    write_tuner_epochs_csv(&exp.name, tag, results, &args.out).expect("write tuner-epoch CSV");
+    write_metrics_csv(&exp.name, tag, results, &args.out).expect("write metrics CSV");
+    t0.elapsed().as_secs_f64()
+}
+
+/// Run one side section: its grid (traced, with per-run traces and CSVs,
+/// only when the section asks for them), every experiment's printout, then
+/// the section's checks, summary CSVs and manifest fragment. Returns the
+/// fragment and whether every check passed.
+fn run_section(
+    args: &Args,
+    jobs: usize,
+    trace_level: TraceLevel,
+    section: Section,
+    csv_render_secs: &mut f64,
+) -> (anu_core::Json, bool) {
+    let exps = section.experiments;
+    println!("\n{} section: {} experiments", section.name, exps.len());
+    let traced = section.per_run_outputs;
+    let level = if traced { trace_level } else { TraceLevel::Off };
+    let outcomes = runner::run_grid_traced(&exps, jobs, level);
+    if let Some(dir) = args.trace_out.as_deref().filter(|_| traced) {
+        dump_traces(dir, &outcomes, |_| None);
+    }
+    let grouped = runner::group_results(outcomes, exps.len());
+    for (exp, results) in exps.iter().zip(&grouped) {
+        *csv_render_secs += emit(args, exp, None, results, traced);
+    }
+    let report = (section.finish)(&exps, &grouped, &args.out).expect("write section summary");
+    print!("{}", checks_table(&report.checks));
+    println!(
+        "  wrote {} summaries to {}",
+        section.name,
+        args.out.display()
+    );
+    (report.manifest, report.checks.iter().all(|c| c.pass))
 }
 
 fn main() {
@@ -276,11 +348,10 @@ fn main() {
     }
     // Trace recording is opt-in: without a destination the sweep runs at
     // the zero-cost Off level regardless of the requested verbosity.
-    let trace_level = if args.trace_out.is_some() {
-        args.trace_level
-    } else {
-        TraceLevel::Off
-    };
+    let trace_level = args
+        .trace_out
+        .as_ref()
+        .map_or(TraceLevel::Off, |_| args.trace_level);
     println!(
         "sweep grid: {} figures x {} seeds -> {} tasks on {} workers (trace: {})",
         figures.len(),
@@ -294,11 +365,11 @@ fn main() {
     let outcomes = runner::run_grid_traced(&exps, jobs, trace_level);
     let wall_secs = t0.elapsed().as_secs_f64();
 
-    // Regroup outcomes per experiment, in task order.
-    let mut grouped: Vec<Vec<runner::TaskOutcome>> = Vec::new();
-    grouped.resize_with(exps.len(), Vec::new);
-    for o in outcomes {
-        grouped[o.task.experiment].push(o);
+    // Results per experiment, in policy order; `outcomes` stays in task
+    // order for the traces and the manifest.
+    let mut grouped: Vec<Vec<RunResult>> = vec![Vec::new(); exps.len()];
+    for o in &outcomes {
+        grouped[o.task.experiment].push(o.result.clone());
     }
 
     let mut verdicts: Vec<FigureVerdict> = Vec::new();
@@ -306,35 +377,11 @@ fn main() {
     // Wall seconds spent rendering CSV artifacts, for the manifest's
     // top-level profile section.
     let mut csv_render_secs = 0.0f64;
-    for (i, entry) in entries.iter().enumerate() {
+    for ((entry, exp), results) in entries.iter().zip(&exps).zip(&grouped) {
         if !entry.emit {
             continue;
         }
-        let exp = &exps[i];
-        let results: Vec<anu_cluster::RunResult> =
-            grouped[i].iter().map(|o| o.result.clone()).collect();
-        let stats = exp.workload.stats();
-        println!(
-            "\n=== Figure {} ({}, seed {}) — {} requests, {} file sets, {:.0} s, {} policies ===",
-            entry.figure,
-            exp.name,
-            entry.seed,
-            stats.total_requests,
-            exp.workload.n_file_sets,
-            stats.duration_secs,
-            exp.policies.len()
-        );
-        println!("{}", summary_table(&results));
-        if args.series {
-            for r in &results {
-                println!("{}", series_table(r));
-            }
-        }
-        if args.plot {
-            for r in &results {
-                println!("{}", sparklines(r));
-            }
-        }
+        csv_render_secs += emit(&args, exp, entry.tag.as_deref(), results, args.scale == 1);
         if args.scale > 1 {
             // Scaled workloads are non-canonical: the committed CSVs and
             // the paper's shape claims only apply at scale 1. Finishing
@@ -342,23 +389,16 @@ fn main() {
             println!("  SKIP: CSVs and shape checks (scale {}x)", args.scale);
             continue;
         }
-        let csv0 = Instant::now();
-        let paths = write_figure_csvs_tagged(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write CSVs");
-        write_tuner_epochs_csv(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write tuner-epoch CSV");
-        write_metrics_csv(&exp.name, entry.tag.as_deref(), &results, &args.out)
-            .expect("write metrics CSV");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
-        println!(
-            "  wrote {} CSV series (+ tuner epochs, metrics) to {}",
-            paths.len(),
-            args.out.display()
-        );
-
         let tick_buckets = (exp.cluster.tick.0 / exp.cluster.series_bucket.0).max(1) as usize;
-        let plain = find_plain(&entries, &grouped, entry.seed);
-        let checks = checks_for(entry.figure, &results, plain, tick_buckets);
+        // The no-heuristics baseline for this seed, from whichever entry
+        // ran it: the full figure 10, or the checks-only support run.
+        let plain = entries
+            .iter()
+            .zip(&grouped)
+            .filter(|(e, _)| e.figure == 10 && e.seed == entry.seed)
+            .flat_map(|(_, results)| results)
+            .find(|r| r.policy == PLAIN_ANU_LABEL);
+        let checks = checks_for(entry.figure, results, plain, tick_buckets);
         print!("{}", checks_table(&checks));
         all_pass &= checks.iter().all(|c| c.pass);
         verdicts.push(FigureVerdict {
@@ -371,9 +411,9 @@ fn main() {
     // Optional throughput probe: trace-off fig6 at scale 1 and scale N,
     // compared against the baseline in effect.
     // The verdict is printed and recorded; with --bench-gate a WARN also
-    // becomes exit code 3. Runs *before* the optional chaos/storm sweeps
-    // so the probe always times the same warm-but-quiet process state —
-    // tacking sweeps onto the command line must not skew the recorded
+    // becomes exit code 3. Runs *before* the side sections so the probe
+    // always times the same warm-but-quiet process state — tacking
+    // sections onto the command line must not skew the recorded
     // throughput (on small boxes the extra minutes of sweep load
     // measurably depress a probe taken afterwards).
     let bench = (args.scale_bench > 0).then(|| {
@@ -386,205 +426,24 @@ fn main() {
         b
     });
 
-    // Optional fault-intensity sweep; its own grid, its own manifest
-    // section, but the robustness verdicts gate the exit code like the
-    // figure checks do.
-    let chaos_fragment = if args.chaos {
-        let chaos_exps = chaos_experiments(args.seed);
-        println!(
-            "\nchaos sweep: {} intensity levels {:?} x {} policies",
-            CHAOS_LEVELS.len(),
-            CHAOS_LEVELS,
-            chaos_exps[0].policies.len()
-        );
-        let chaos_outcomes = runner::run_grid_traced(&chaos_exps, jobs, trace_level);
-        if let Some(dir) = args.trace_out.as_deref() {
-            std::fs::create_dir_all(dir).expect("create trace dir");
-            for o in &chaos_outcomes {
-                let safe: String = o
-                    .task
-                    .label
-                    .chars()
-                    .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                    .collect();
-                let mut body = o.trace_lines.join("\n");
-                if !body.is_empty() {
-                    body.push('\n');
-                }
-                std::fs::write(dir.join(format!("{}_{safe}.jsonl", o.task.name)), body)
-                    .expect("write trace");
-                std::fs::write(
-                    dir.join(format!("{}_{safe}.ring", o.task.name)),
-                    &o.trace_ring,
-                )
-                .expect("write ring trace");
-            }
+    // Optional side sections, each with its own grid and manifest
+    // section; their checks gate the exit code like the figure checks.
+    let mut sections = Vec::new();
+    for (build, on) in SIDE.iter().zip(args.side) {
+        if on {
+            let section = build(args.seed);
+            let name = section.name;
+            let (fragment, pass) =
+                run_section(&args, jobs, trace_level, section, &mut csv_render_secs);
+            all_pass &= pass;
+            sections.push((name, fragment));
         }
-        let grouped = runner::group_results(chaos_outcomes, chaos_exps.len());
-        for (exp, results) in chaos_exps.iter().zip(&grouped) {
-            println!(
-                "\n=== Chaos {} (intensity sweep, {} fault events, seed {}) ===",
-                exp.name,
-                exp.cluster.faults.len(),
-                exp.seed
-            );
-            println!("{}", summary_table(results));
-            let csv0 = Instant::now();
-            write_figure_csvs_tagged(&exp.name, None, results, &args.out)
-                .expect("write chaos CSVs");
-            write_tuner_epochs_csv(&exp.name, None, results, &args.out)
-                .expect("write chaos tuner-epoch CSV");
-            write_metrics_csv(&exp.name, None, results, &args.out)
-                .expect("write chaos metrics CSV");
-            csv_render_secs += csv0.elapsed().as_secs_f64();
-            let checks = chaos_checks(exp, results);
-            print!("{}", checks_table(&checks));
-            all_pass &= checks.iter().all(|c| c.pass);
-        }
-        let rows = chaos_rows(&CHAOS_LEVELS, &chaos_exps, &grouped);
-        let summary_path = write_chaos_summary_csv(&rows, &args.out).expect("write chaos summary");
-        println!("  wrote chaos series + {}", summary_path.display());
-        Some(chaos_manifest(&rows))
-    } else {
-        None
-    };
+    }
 
-    // Optional elasticity sweep; same contract as the chaos sweep: its
-    // own grid and manifest section, robustness verdicts gate the exit
-    // code.
-    let storm_fragment = if args.storm {
-        let storm_exps = storm_experiments(args.seed);
-        println!(
-            "\nstorm sweep: 4 storm kinds x {} intensity levels {:?} + convergence cell",
-            STORM_LEVELS.len(),
-            STORM_LEVELS
-        );
-        let storm_outcomes = runner::run_grid_traced(&storm_exps, jobs, trace_level);
-        if let Some(dir) = args.trace_out.as_deref() {
-            std::fs::create_dir_all(dir).expect("create trace dir");
-            for o in &storm_outcomes {
-                let safe: String = o
-                    .task
-                    .label
-                    .chars()
-                    .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                    .collect();
-                let mut body = o.trace_lines.join("\n");
-                if !body.is_empty() {
-                    body.push('\n');
-                }
-                std::fs::write(dir.join(format!("{}_{safe}.jsonl", o.task.name)), body)
-                    .expect("write trace");
-                std::fs::write(
-                    dir.join(format!("{}_{safe}.ring", o.task.name)),
-                    &o.trace_ring,
-                )
-                .expect("write ring trace");
-            }
-        }
-        let grouped = runner::group_results(storm_outcomes, storm_exps.len());
-        let csv0 = Instant::now();
-        for (exp, results) in storm_exps.iter().zip(&grouped) {
-            println!(
-                "\n=== Storm {} ({} churn events, seed {}) ===",
-                exp.name,
-                exp.cluster.faults.len(),
-                exp.seed
-            );
-            println!("{}", summary_table(results));
-            write_figure_csvs_tagged(&exp.name, None, results, &args.out)
-                .expect("write storm CSVs");
-            write_tuner_epochs_csv(&exp.name, None, results, &args.out)
-                .expect("write storm tuner-epoch CSV");
-            write_metrics_csv(&exp.name, None, results, &args.out)
-                .expect("write storm metrics CSV");
-        }
-        let rows = storm_rows(&storm_cells(), &storm_exps, &grouped);
-        let summary_path = write_storm_summary_csv(&rows, &args.out).expect("write storm summary");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
-        let checks = storm_checks(&rows);
-        print!("{}", checks_table(&checks));
-        all_pass &= checks.iter().all(|c| c.pass);
-        println!("  wrote storm series + {}", summary_path.display());
-        Some(storm_manifest(&rows))
-    } else {
-        None
-    };
-
-    // Optional mean-field cross-validation sweep: the analytic oracle's
-    // fixed-point predictions next to simulated per-server means across
-    // growing workload scales. Its shrinking-divergence checks gate the
-    // exit code like the figure shape checks.
-    let meanfield_fragment = if args.meanfield {
-        let mf_exps = meanfield_experiments(args.seed);
-        println!(
-            "\nmeanfield sweep: scales {:?} x {} replicas x {} policies vs the analytic oracle",
-            MEANFIELD_SCALES,
-            MEANFIELD_REPLICAS,
-            mf_exps[0].policies.len()
-        );
-        let mf_outcomes = runner::run_grid_traced(&mf_exps, jobs, trace_level);
-        let grouped = runner::group_results(mf_outcomes, mf_exps.len());
-        for (exp, results) in mf_exps.iter().zip(&grouped) {
-            println!(
-                "\n=== Meanfield {} ({} requests, {} file sets, seed {}) ===",
-                exp.name,
-                exp.workload.requests.len(),
-                exp.workload.n_file_sets,
-                exp.seed
-            );
-            println!("{}", summary_table(results));
-        }
-        let (rows, report) = meanfield_rows(&meanfield_grid(), &mf_exps, &grouped);
-        let csv0 = Instant::now();
-        let cells_path =
-            write_meanfield_cells_csv(&rows, &args.out).expect("write meanfield cells");
-        let conv_path =
-            write_meanfield_convergence_csv(&report, &args.out).expect("write meanfield report");
-        csv_render_secs += csv0.elapsed().as_secs_f64();
-        let checks = meanfield_checks(&report);
-        print!("{}", checks_table(&checks));
-        all_pass &= checks.iter().all(|c| c.pass);
-        println!("  wrote {} + {}", cells_path.display(), conv_path.display());
-        Some(meanfield_manifest(&report))
-    } else {
-        None
-    };
-
-    // Flatten back to task order for the manifest.
-    let outcomes: Vec<runner::TaskOutcome> = {
-        let mut all: Vec<runner::TaskOutcome> = grouped.into_iter().flatten().collect();
-        all.sort_by_key(|o| o.task.id);
-        all
-    };
-
-    // Dump each task's JSONL trace (task order; names mirror the CSVs) and
+    // Dump each task's trace (task order; names mirror the CSVs) and
     // calibrate the tracing overhead on a reduced figure-6 run.
     let overhead = args.trace_out.as_deref().map(|dir| {
-        std::fs::create_dir_all(dir).expect("create trace dir");
-        let mut written = 0usize;
-        for o in &outcomes {
-            let safe: String = o
-                .task
-                .label
-                .chars()
-                .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                .collect();
-            let stem = match &entries[o.task.experiment].tag {
-                Some(t) => format!("{}_{t}_{safe}", o.task.name),
-                None => format!("{}_{safe}", o.task.name),
-            };
-            let mut body = o.trace_lines.join("\n");
-            if !body.is_empty() {
-                body.push('\n');
-            }
-            std::fs::write(dir.join(format!("{stem}.jsonl")), body).expect("write trace");
-            // The same trace as the binary ring dump `anu-inspect` reads.
-            std::fs::write(dir.join(format!("{stem}.ring")), &o.trace_ring)
-                .expect("write ring trace");
-            written += 1;
-        }
-        println!("wrote {written} JSONL+ring traces to {}", dir.display());
+        dump_traces(dir, &outcomes, |e| entries[e].tag.as_deref());
         let probe = reduced(figure(6, args.seed).expect("figure 6 exists"), args.seed);
         let over = measure_trace_overhead(&probe);
         println!(
@@ -604,9 +463,7 @@ fn main() {
         &verdicts,
         trace_level,
         overhead.as_ref(),
-        chaos_fragment.as_ref(),
-        storm_fragment.as_ref(),
-        meanfield_fragment.as_ref(),
+        &sections,
         bench.as_ref(),
         csv_render_secs,
     );

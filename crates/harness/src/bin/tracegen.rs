@@ -8,12 +8,18 @@
 //! Writes the trace and prints its statistics (request count, activity
 //! skew, offered load against the paper's 25-speed-unit cluster). Traces
 //! replay bit-identically: the same file driven through the simulator
-//! yields the same figures on any machine.
+//! yields the same figures on any machine. A malformed command line (an
+//! unknown flag, kind or format, or a flag value that does not parse)
+//! exits with code 2 before anything is generated.
 
-use anu_workload::{
-    save_json, write_csv, CostModel, DfsLikeConfig, SyntheticConfig, WeightDist, Workload,
-};
+mod cli;
+
+use anu_workload::{save_json, write_csv, DfsLikeConfig, SyntheticConfig, Workload};
+use cli::{flag_value, usage_error};
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
+                     [--format csv|json] [--requests N] [--file-sets N] [--duration SECS]";
 
 struct Args {
     kind: String,
@@ -25,6 +31,8 @@ struct Args {
     duration: Option<f64>,
 }
 
+/// Parse the command line; every malformed one exits with code 2 through
+/// [`usage_error`] before anything is generated.
 fn parse() -> Args {
     let mut args = Args {
         kind: "dfslike".into(),
@@ -37,65 +45,61 @@ fn parse() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match a.as_str() {
-            "--kind" => args.kind = val("--kind"),
-            "--seed" => args.seed = val("--seed").parse().expect("--seed integer"),
-            "--out" => args.out = PathBuf::from(val("--out")),
-            "--format" => args.format = val("--format"),
-            "--requests" => args.requests = Some(val("--requests").parse().expect("integer")),
-            "--file-sets" => args.file_sets = Some(val("--file-sets").parse().expect("integer")),
-            "--duration" => args.duration = Some(val("--duration").parse().expect("seconds")),
+            "--kind" => args.kind = flag_value(it.next(), "--kind needs dfslike|synthetic"),
+            "--seed" => args.seed = flag_value(it.next(), "--seed needs an integer"),
+            "--out" => args.out = flag_value(it.next(), "--out needs a path"),
+            "--format" => args.format = flag_value(it.next(), "--format needs csv|json"),
+            "--requests" => {
+                args.requests = Some(flag_value(it.next(), "--requests needs an integer"))
+            }
+            "--file-sets" => {
+                args.file_sets = Some(flag_value(it.next(), "--file-sets needs an integer"))
+            }
+            "--duration" => args.duration = Some(flag_value(it.next(), "--duration needs seconds")),
             "--help" | "-h" => {
-                println!(
-                    "usage: tracegen --kind dfslike|synthetic [--seed S] [--out FILE] \
-                     [--format csv|json] [--requests N] [--file-sets N] [--duration SECS]"
-                );
+                println!("{USAGE}");
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}\n{USAGE}")),
         }
+    }
+    if !["dfslike", "synthetic"].contains(&args.kind.as_str()) {
+        usage_error(&format!(
+            "unknown kind {}; use dfslike or synthetic",
+            args.kind
+        ));
+    }
+    if !["csv", "json"].contains(&args.format.as_str()) {
+        usage_error(&format!("unknown format {}; use csv or json", args.format));
     }
     args
 }
 
 fn generate(args: &Args) -> Workload {
-    match args.kind.as_str() {
-        "dfslike" => {
-            let mut cfg = DfsLikeConfig::paper(args.seed);
-            if let Some(r) = args.requests {
-                cfg.total_requests = r;
-            }
-            if let Some(n) = args.file_sets {
-                cfg.n_file_sets = n;
-            }
-            if let Some(d) = args.duration {
-                cfg.duration_secs = d;
-            }
-            cfg.generate()
-        }
-        "synthetic" => {
-            let mut cfg = SyntheticConfig::paper(args.seed);
-            cfg.cost = CostModel::UniformSpread { spread: 0.2 };
-            cfg.weights = WeightDist::PowerOfUniform { alpha: 1000.0 };
-            if let Some(r) = args.requests {
-                cfg.total_requests = r;
-            }
-            if let Some(n) = args.file_sets {
-                cfg.n_file_sets = n;
-            }
-            if let Some(d) = args.duration {
-                cfg.duration_secs = d;
-            }
-            cfg.generate()
-        }
-        other => {
-            eprintln!("unknown kind {other}; use dfslike or synthetic");
-            std::process::exit(2);
-        }
+    // Both generators take the same three overrides; `synthetic` is the
+    // paper's Figure 8 workload.
+    let apply = |requests: &mut u64, sets: &mut usize, duration: &mut f64| {
+        *requests = args.requests.unwrap_or(*requests);
+        *sets = args.file_sets.unwrap_or(*sets);
+        *duration = args.duration.unwrap_or(*duration);
+    };
+    if args.kind == "dfslike" {
+        let mut c = DfsLikeConfig::paper(args.seed);
+        apply(
+            &mut c.total_requests,
+            &mut c.n_file_sets,
+            &mut c.duration_secs,
+        );
+        c.generate()
+    } else {
+        let mut c = SyntheticConfig::paper(args.seed);
+        apply(
+            &mut c.total_requests,
+            &mut c.n_file_sets,
+            &mut c.duration_secs,
+        );
+        c.generate()
     }
 }
 
@@ -103,18 +107,11 @@ fn main() {
     let args = parse();
     let w = generate(&args);
     let stats = w.stats();
-    match args.format.as_str() {
-        "csv" => {
-            let f = std::fs::File::create(&args.out).expect("create output file");
-            write_csv(&w, f).expect("write csv");
-        }
-        "json" => {
-            save_json(&w, &args.out).expect("write json");
-        }
-        other => {
-            eprintln!("unknown format {other}; use csv or json");
-            std::process::exit(2);
-        }
+    if args.format == "csv" {
+        let f = std::fs::File::create(&args.out).expect("create output file");
+        write_csv(&w, f).expect("write csv");
+    } else {
+        save_json(&w, &args.out).expect("write json");
     }
     println!("wrote {} ({})", args.out.display(), args.format);
     println!(

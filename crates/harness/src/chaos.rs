@@ -16,9 +16,12 @@
 
 use crate::experiment::Experiment;
 use crate::figures::{fig8, reduced, ShapeCheck};
+use crate::report::write_csv;
+use crate::runner::{Section, SectionReport};
+use crate::storm::{audit_clean, conservation_checks, storm_rows, StormRow};
 use anu_cluster::{FaultEvent, FaultPlanConfig, RunResult, RunSummary};
 use anu_core::{Json, ServerId};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Fault-intensity levels of the default chaos sweep (multiples of one
@@ -52,90 +55,83 @@ pub fn chaos_experiments(seed: u64) -> Vec<Experiment> {
         .collect()
 }
 
-/// One `(intensity, policy)` cell of the chaos summary.
-#[derive(Clone, Debug)]
-pub struct ChaosRow {
-    /// Fault-intensity level the cell ran at.
-    pub intensity: f64,
-    /// Policy label.
-    pub policy: String,
-    /// Seed the fault script and workload were drawn from.
-    pub seed: u64,
-    /// Fault events in the compiled script.
-    pub faults: usize,
-    /// The run's summary (availability metrics included).
-    pub summary: RunSummary,
+/// The `figures --chaos` section: [`chaos_experiments`], traced, with every
+/// cell's [`chaos_checks`], `chaos_summary.csv` and [`chaos_manifest`].
+pub fn chaos_section(seed: u64) -> Section {
+    Section {
+        name: "chaos",
+        experiments: chaos_experiments(seed),
+        per_run_outputs: true,
+        finish: Box::new(|exps, grouped, dir| {
+            let checks = exps
+                .iter()
+                .zip(grouped)
+                .flat_map(|(exp, results)| chaos_checks(exp, results))
+                .collect();
+            let rows = chaos_rows(&CHAOS_LEVELS, exps, grouped);
+            write_chaos_summary_csv(&rows, dir)?;
+            Ok(SectionReport {
+                checks,
+                manifest: chaos_manifest(&rows),
+            })
+        }),
+    }
 }
 
-/// Flatten grouped sweep results into summary rows, one per
-/// `(intensity, policy)` cell. `levels`, `experiments` and `grouped` must
-/// be parallel (as produced by [`chaos_experiments`] +
+/// Flatten grouped sweep results into summary rows (kind `"chaos"`), one
+/// per `(intensity, policy)` cell. `levels`, `experiments` and `grouped`
+/// must be parallel (as produced by [`chaos_experiments`] +
 /// [`crate::runner::group_results`]).
 pub fn chaos_rows(
     levels: &[f64],
     experiments: &[Experiment],
     grouped: &[Vec<RunResult>],
-) -> Vec<ChaosRow> {
-    let mut rows = Vec::new();
-    for ((&level, exp), results) in levels.iter().zip(experiments).zip(grouped) {
-        for r in results {
-            rows.push(ChaosRow {
-                intensity: level,
-                policy: r.policy.clone(),
-                seed: exp.seed,
-                faults: exp.cluster.faults.len(),
-                summary: r.summary.clone(),
-            });
-        }
-    }
-    rows
+) -> Vec<StormRow> {
+    let cells: Vec<(String, f64)> = levels.iter().map(|&l| ("chaos".into(), l)).collect();
+    storm_rows(&cells, experiments, grouped)
 }
 
 /// Write the chaos availability summary as `chaos_summary.csv` in `dir`:
-/// one row per `(intensity, policy)` cell, fixed-precision formatting so
-/// the bytes are deterministic across platforms and worker counts.
-pub fn write_chaos_summary_csv(rows: &[ChaosRow], dir: &Path) -> io::Result<PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("chaos_summary.csv");
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(
-        f,
+/// one row per `(intensity, policy)` cell.
+pub fn write_chaos_summary_csv(rows: &[StormRow], dir: &Path) -> io::Result<PathBuf> {
+    write_csv(
+        dir.join("chaos_summary.csv"),
         "intensity,policy,seed,faults,offered,completed,requeued,mean_latency_ms,\
          unavailable_secs,unavailability_windows,mean_rebalance_secs,max_rebalance_secs,\
-         degraded_capacity_secs,migrations,audit_checks,audit_violations"
-    )?;
-    for r in rows {
-        let s = &r.summary;
-        writeln!(
-            f,
-            "{:.2},{},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{:.3},{},{},{}",
-            r.intensity,
-            r.policy,
-            r.seed,
-            r.faults,
-            s.offered_requests,
-            s.completed_requests,
-            s.requests_requeued,
-            s.mean_latency_ms,
-            s.unavailable_secs,
-            s.unavailability_windows,
-            s.mean_rebalance_secs,
-            s.max_rebalance_secs,
-            s.degraded_capacity_secs,
-            s.migrations,
-            s.audit_checks,
-            s.audit_violations
-        )?;
-    }
-    f.flush()?;
-    Ok(path)
+         degraded_capacity_secs,migrations,audit_checks,audit_violations",
+        |f| {
+            for r in rows {
+                let s = &r.summary;
+                writeln!(
+                    f,
+                    "{:.2},{},{},{},{},{},{},{:.3},{:.3},{},{:.3},{:.3},{:.3},{},{},{}",
+                    r.intensity,
+                    r.policy,
+                    r.seed,
+                    r.faults,
+                    s.offered_requests,
+                    s.completed_requests,
+                    s.requests_requeued,
+                    s.mean_latency_ms,
+                    s.unavailable_secs,
+                    s.unavailability_windows,
+                    s.mean_rebalance_secs,
+                    s.max_rebalance_secs,
+                    s.degraded_capacity_secs,
+                    s.migrations,
+                    s.audit_checks,
+                    s.audit_violations
+                )?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Manifest fragment for the chaos sweep (`BENCH_figures.json`, schema
 /// v4): levels swept plus one object per summary row. Everything in it is
 /// deterministic — no timing fields.
-pub fn chaos_manifest(rows: &[ChaosRow]) -> Json {
+pub fn chaos_manifest(rows: &[StormRow]) -> Json {
     let cells: Vec<Json> = rows
         .iter()
         .map(|r| {
@@ -164,16 +160,12 @@ pub fn chaos_manifest(rows: &[ChaosRow]) -> Json {
         .collect();
     let mut levels: Vec<f64> = rows.iter().map(|r| r.intensity).collect();
     levels.dedup();
-    let audit_clean = !rows.is_empty()
-        && rows
-            .iter()
-            .all(|r| r.summary.audit_checks > 0 && r.summary.audit_violations == 0);
     Json::obj(vec![
         (
             "levels",
             Json::arr(levels.into_iter().map(Json::f64).collect()),
         ),
-        ("audit_clean", Json::bool(audit_clean)),
+        ("audit_clean", Json::bool(audit_clean(rows))),
         ("rows", Json::arr(cells)),
     ])
 }
@@ -198,36 +190,8 @@ fn last_delegate_fail_secs(faults: &[FaultEvent]) -> Option<f64> {
 /// * after the last delegate crash ANU resumed tuning (a tuner epoch with
 ///   a decision record exists later in the run).
 pub fn chaos_checks(exp: &Experiment, results: &[RunResult]) -> Vec<ShapeCheck> {
-    let mut checks = Vec::new();
-    let total_checks: u64 = results.iter().map(|r| r.summary.audit_checks).sum();
-    let total_violations: u64 = results.iter().map(|r| r.summary.audit_violations).sum();
-    checks.push(ShapeCheck {
-        claim: format!(
-            "{}: the invariant auditor runs at every fault/tick boundary and finds no violation",
-            exp.name
-        ),
-        measured: format!("{total_checks} checks, {total_violations} violations"),
-        pass: total_checks > 0 && total_violations == 0,
-    });
-
-    let lost: u64 = results
-        .iter()
-        .map(|r| {
-            r.summary
-                .offered_requests
-                .saturating_sub(r.summary.completed_requests)
-        })
-        .sum();
-    let requeued: u64 = results.iter().map(|r| r.summary.requests_requeued).sum();
-    checks.push(ShapeCheck {
-        claim: format!(
-            "{}: failures displace requests (requeue) but never lose them",
-            exp.name
-        ),
-        measured: format!("{lost} lost, {requeued} requeued across policies"),
-        pass: lost == 0,
-    });
-
+    let runs: Vec<&RunSummary> = results.iter().map(|r| &r.summary).collect();
+    let mut checks = conservation_checks(&exp.name, &runs).to_vec();
     if let Some(t_fail) = last_delegate_fail_secs(&exp.cluster.faults) {
         for r in results.iter().filter(|r| r.policy.starts_with("anu")) {
             let resumed = r

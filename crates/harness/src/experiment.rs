@@ -23,8 +23,9 @@ pub enum PrescientWindow {
     Full,
 }
 
-/// Factory description of a policy, buildable per run.
-#[derive(Clone, Debug)]
+/// Factory description of a policy, buildable per run. Equal kinds build
+/// policies that make identical decisions on the same experiment.
+#[derive(Clone, Debug, PartialEq)]
 pub enum PolicyKind {
     /// Static hash-random placement.
     SimpleRandom,
@@ -125,9 +126,8 @@ pub struct Experiment {
 
 impl Experiment {
     /// Run every policy on the deterministic worker pool (one worker per
-    /// available core, unless [`crate::runner::set_default_jobs`]
-    /// overrides it), returning results in declaration order. Results are
-    /// identical at any worker count.
+    /// available core), returning results in declaration order. Results
+    /// are identical at any worker count.
     pub fn run_all(&self) -> Vec<RunResult> {
         self.run_with_jobs(0)
     }

@@ -9,7 +9,7 @@
 
 use crate::experiment::{Experiment, PolicyKind, PrescientWindow};
 use anu_cluster::{flip_count, late_imbalance, late_mean, ClusterConfig, RunResult};
-use anu_core::{ServerId, TuningConfig};
+use anu_core::{Json, ServerId, TuningConfig};
 use anu_workload::{DfsLikeConfig, SyntheticConfig};
 
 /// Default experiment seed.
@@ -258,6 +258,17 @@ pub struct ShapeCheck {
     pub measured: String,
     /// Did the reproduction match?
     pub pass: bool,
+}
+
+impl ShapeCheck {
+    /// Manifest fragment: `{claim, measured, pass}`.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("claim", Json::str(&self.claim)),
+            ("measured", Json::str(&self.measured)),
+            ("pass", Json::bool(self.pass)),
+        ])
+    }
 }
 
 fn find<'a>(results: &'a [RunResult], label: &str) -> &'a RunResult {

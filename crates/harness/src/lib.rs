@@ -23,15 +23,19 @@
 //!   `anu-analytic` oracle's fixed-point predictions next to simulated
 //!   per-server means across growing workload scales, with the
 //!   shrinking-divergence gate;
+//! * [`ablation`] — the ablation studies beyond the figures on
+//!   deduplicated lineups, with the average, failover and churn checks;
 //! * [`report`] — text tables, CSV emission, and verdict rendering.
 //!
 //! Binaries: `figures` regenerates every figure's series and prints the
-//! shape-check verdicts; `sweep` runs the ablation studies (average kind,
-//! threshold, gamma, homogeneous balance, membership churn).
+//! shape-check verdicts, and runs the `--chaos`, `--storm`, `--meanfield`
+//! and `--ablations` side sections as [`Section`]s; `tracegen` writes
+//! replayable workload traces.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod ablation;
 pub mod chaos;
 pub mod experiment;
 pub mod figures;
@@ -40,9 +44,10 @@ pub mod report;
 pub mod runner;
 pub mod storm;
 
+pub use ablation::ablation_section;
 pub use chaos::{
     chaos_checks, chaos_experiment, chaos_experiments, chaos_manifest, chaos_name, chaos_rows,
-    write_chaos_summary_csv, ChaosRow, CHAOS_LEVELS,
+    chaos_section, write_chaos_summary_csv, CHAOS_LEVELS,
 };
 pub use experiment::{Experiment, PolicyKind, PrescientWindow};
 pub use figures::{
@@ -52,23 +57,24 @@ pub use figures::{
 };
 pub use meanfield::{
     meanfield_cell, meanfield_checks, meanfield_experiments, meanfield_grid, meanfield_lens,
-    meanfield_manifest, meanfield_name, meanfield_rows, meanfield_tuning, model_input,
-    write_meanfield_cells_csv, write_meanfield_convergence_csv, ConvergenceRow, MeanfieldRow,
-    MeasureWindow, MEANFIELD_DIVERGENCE_CEILING, MEANFIELD_REPLICAS, MEANFIELD_SCALES,
+    meanfield_manifest, meanfield_name, meanfield_rows, meanfield_section, meanfield_tuning,
+    model_input, write_meanfield_cells_csv, write_meanfield_convergence_csv, ConvergenceRow,
+    MeanfieldRow, MeasureWindow, MEANFIELD_DIVERGENCE_CEILING, MEANFIELD_REPLICAS,
+    MEANFIELD_SCALES,
 };
 pub use report::{
-    checks_table, csv_field, series_table, sparklines, summary_table, write_figure_csvs,
+    checks_table, csv_field, file_stem, series_table, sparklines, summary_table,
     write_figure_csvs_tagged, write_metrics_csv, write_series_csv, write_tuner_epochs_csv,
 };
 pub use storm::{
     storm_cells, storm_checks, storm_cluster, storm_converge_experiment, storm_experiment,
-    storm_experiments, storm_manifest, storm_name, storm_rows, write_storm_summary_csv, StormRow,
-    CONVERGE_JAIN_FLOOR, STORM_LEVELS,
+    storm_experiments, storm_manifest, storm_name, storm_rows, storm_section,
+    write_storm_summary_csv, StormRow, CONVERGE_JAIN_FLOOR, STORM_LEVELS,
 };
 
 pub use runner::{
     effective_jobs, gate_exit_code, manifest, measure_trace_overhead, perf_baseline, plan,
-    run_grid, run_grid_traced, run_scale_bench, set_default_jobs, strip_timing, FigureVerdict,
-    ScaleBench, SimTask, TaskOutcome, TaskProfile, TraceOverhead, BASELINE_SCALE1_EVENTS_PER_SEC,
-    MANIFEST_SCHEMA, PERF_GATE_THRESHOLD,
+    run_grid, run_grid_traced, run_scale_bench, strip_timing, FigureVerdict, ScaleBench, Section,
+    SectionFinish, SectionReport, SimTask, TaskOutcome, TaskProfile, TraceOverhead,
+    BASELINE_SCALE1_EVENTS_PER_SEC, MANIFEST_SCHEMA, PERF_GATE_THRESHOLD, SECTIONS,
 };

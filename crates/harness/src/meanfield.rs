@@ -41,11 +41,13 @@
 
 use crate::experiment::{Experiment, PolicyKind};
 use crate::figures::ShapeCheck;
+use crate::report::write_csv;
+use crate::runner::{Section, SectionReport};
 use anu_analytic::{predict, ModelInput, ShareModel, Tolerance};
 use anu_cluster::{ClusterConfig, RunResult};
 use anu_core::{Json, ServerId, TuningConfig};
 use anu_workload::{SyntheticConfig, Workload};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 /// Scale factors of the convergence sweep: file sets and requests both
@@ -198,6 +200,26 @@ pub fn meanfield_experiments(seed: u64) -> Vec<Experiment> {
         .into_iter()
         .map(|(scale, replica)| meanfield_cell(seed, scale, replica))
         .collect()
+}
+
+/// The `figures --meanfield` section: [`meanfield_experiments`], untraced
+/// (the comparison reads only per-server means), with both meanfield CSVs,
+/// [`meanfield_checks`] and [`meanfield_manifest`].
+pub fn meanfield_section(seed: u64) -> Section {
+    Section {
+        name: "meanfield",
+        experiments: meanfield_experiments(seed),
+        per_run_outputs: false,
+        finish: Box::new(|exps, grouped, dir| {
+            let (rows, report) = meanfield_rows(&meanfield_grid(), exps, grouped);
+            write_meanfield_cells_csv(&rows, dir)?;
+            write_meanfield_convergence_csv(&report, dir)?;
+            Ok(SectionReport {
+                checks: meanfield_checks(&report),
+                manifest: meanfield_manifest(&report),
+            })
+        }),
+    }
 }
 
 /// Extract the oracle's input from a cell: server speeds (id order), the
@@ -435,39 +457,35 @@ pub fn meanfield_rows(
     (rows, report)
 }
 
-/// Write the per-server comparison as `meanfield_cells.csv` in `dir`
-/// (fixed-precision, byte-deterministic).
+/// Write the per-server comparison as `meanfield_cells.csv` in `dir`.
 pub fn write_meanfield_cells_csv(rows: &[MeanfieldRow], dir: &Path) -> io::Result<PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("meanfield_cells.csv");
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(
-        f,
+    write_csv(
+        dir.join("meanfield_cells.csv"),
         "scale,replica,policy,window,server,speed,pred_share,meas_share,pred_latency_ms,\
-         meas_latency_ms,pred_util,meas_util,meas_requests"
-    )?;
-    for r in rows {
-        writeln!(
-            f,
-            "{},{},{},{},{},{:.1},{:.6},{:.6},{:.3},{:.3},{:.4},{:.4},{}",
-            r.scale,
-            r.replica,
-            r.policy,
-            r.window.name(),
-            r.server,
-            r.speed,
-            r.predicted_share,
-            r.measured_share,
-            r.predicted_latency_ms,
-            r.measured_latency_ms,
-            r.predicted_utilization,
-            r.measured_utilization,
-            r.measured_requests
-        )?;
-    }
-    f.flush()?;
-    Ok(path)
+         meas_latency_ms,pred_util,meas_util,meas_requests",
+        |f| {
+            for r in rows {
+                writeln!(
+                    f,
+                    "{},{},{},{},{},{:.1},{:.6},{:.6},{:.3},{:.3},{:.4},{:.4},{}",
+                    r.scale,
+                    r.replica,
+                    r.policy,
+                    r.window.name(),
+                    r.server,
+                    r.speed,
+                    r.predicted_share,
+                    r.measured_share,
+                    r.predicted_latency_ms,
+                    r.measured_latency_ms,
+                    r.predicted_utilization,
+                    r.measured_utilization,
+                    r.measured_requests
+                )?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Write the convergence report as `meanfield_convergence.csv` in `dir`.
@@ -475,20 +493,20 @@ pub fn write_meanfield_convergence_csv(
     report: &[ConvergenceRow],
     dir: &Path,
 ) -> io::Result<PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("meanfield_convergence.csv");
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(f, "policy,scale,replica,divergence,iterations,converged")?;
-    for r in report {
-        writeln!(
-            f,
-            "{},{},{},{:.6},{},{}",
-            r.policy, r.scale, r.replica, r.divergence, r.iterations, r.converged
-        )?;
-    }
-    f.flush()?;
-    Ok(path)
+    write_csv(
+        dir.join("meanfield_convergence.csv"),
+        "policy,scale,replica,divergence,iterations,converged",
+        |f| {
+            for r in report {
+                writeln!(
+                    f,
+                    "{},{},{},{:.6},{},{}",
+                    r.policy, r.scale, r.replica, r.divergence, r.iterations, r.converged
+                )?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Distinct policy labels of a convergence report, in first-seen order.

@@ -4,8 +4,8 @@
 use crate::figures::ShapeCheck;
 use anu_cluster::{late_imbalance, late_mean, RunResult};
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 /// Render one run's per-server latency series as the rows the paper's
 /// figures plot: `minute  s0 s1 …` (mean latency per minute bucket, ms).
@@ -113,52 +113,70 @@ pub fn csv_field(raw: &str) -> String {
     }
 }
 
+/// Create `path` (and its directory), write `header` as its first line
+/// and let `rows` write the rest through a buffered writer. Every CSV the
+/// harness emits goes through here; callers format with fixed precision,
+/// so the bytes are identical across platforms and worker counts.
+pub fn write_csv(
+    path: PathBuf,
+    header: &str,
+    rows: impl FnOnce(&mut io::BufWriter<std::fs::File>) -> io::Result<()>,
+) -> io::Result<PathBuf> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
+    writeln!(f, "{header}")?;
+    rows(&mut f)?;
+    f.flush()?;
+    Ok(path)
+}
+
+/// The file stem `<name>[_<tag>]_<label>` every per-run artifact uses,
+/// with each non-alphanumeric character of `label` replaced by `_`.
+/// Multi-seed grids tag each derived seed (`fig6_s42_anu_randomization`)
+/// so grids don't collide; the base seed stays untagged and keeps the
+/// canonical `out/` names.
+pub fn file_stem(name: &str, tag: Option<&str>, label: &str) -> String {
+    let safe: String = label
+        .chars()
+        .map(|c| if c.is_alphanumeric() { c } else { '_' })
+        .collect();
+    match tag {
+        Some(t) => format!("{name}_{t}_{safe}"),
+        None => format!("{name}_{safe}"),
+    }
+}
+
 /// Write one run's series as CSV: `minute,server,mean_latency_ms`.
 pub fn write_series_csv(result: &RunResult, path: &Path) -> io::Result<()> {
-    use std::io::Write;
-    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(f, "minute,server,mean_latency_ms,requests")?;
-    for (s, ts) in &result.series {
-        for (i, b) in ts.buckets().iter().enumerate() {
-            writeln!(f, "{},{},{:.3},{}", i, s.0, b.mean(), b.count)?;
-        }
-    }
-    f.flush()
+    write_csv(
+        path.to_path_buf(),
+        "minute,server,mean_latency_ms,requests",
+        |f| {
+            for (s, ts) in &result.series {
+                for (i, b) in ts.buckets().iter().enumerate() {
+                    writeln!(f, "{},{},{:.3},{}", i, s.0, b.mean(), b.count)?;
+                }
+            }
+            Ok(())
+        },
+    )
+    .map(drop)
 }
 
 /// Write every result of a figure into `dir` as
-/// `<figure>_<policy>.csv`, returning the written paths.
-pub fn write_figure_csvs(
-    figure: &str,
-    results: &[RunResult],
-    dir: &Path,
-) -> io::Result<Vec<std::path::PathBuf>> {
-    write_figure_csvs_tagged(figure, None, results, dir)
-}
-
-/// [`write_figure_csvs`] with an optional tag inserted after the figure
-/// name (`<figure>_<tag>_<policy>.csv`). Multi-seed sweeps tag each seed's
-/// series (`fig6_s42_anu_randomization.csv`) so grids don't collide; the
-/// base seed stays untagged and keeps the canonical `out/` names.
+/// `<figure>[_<tag>]_<policy>.csv` (see [`file_stem`]), returning the
+/// written paths.
 pub fn write_figure_csvs_tagged(
     figure: &str,
     tag: Option<&str>,
     results: &[RunResult],
     dir: &Path,
-) -> io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
+) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
     for r in results {
-        let safe: String = r
-            .policy
-            .chars()
-            .map(|c| if c.is_alphanumeric() { c } else { '_' })
-            .collect();
-        let name = match tag {
-            Some(t) => format!("{figure}_{t}_{safe}.csv"),
-            None => format!("{figure}_{safe}.csv"),
-        };
-        let p = dir.join(name);
+        let p = dir.join(format!("{}.csv", file_stem(figure, tag, &r.policy)));
         write_series_csv(r, &p)?;
         paths.push(p);
     }
@@ -169,51 +187,43 @@ pub fn write_figure_csvs_tagged(
 /// CSV (`<figure>[_<tag>]_tuner_epochs.csv`): one row per tuner decision
 /// per epoch, covering every policy that exposed telemetry. Epochs without
 /// a tuner record (static policies, pre-warm-up ticks) are skipped, so
-/// static-policy figures produce a header-only file. Fixed-precision
-/// formatting keeps the bytes deterministic across platforms.
+/// static-policy figures produce a header-only file.
 pub fn write_tuner_epochs_csv(
     figure: &str,
     tag: Option<&str>,
     results: &[RunResult],
     dir: &Path,
-) -> io::Result<std::path::PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let name = match tag {
-        Some(t) => format!("{figure}_{t}_tuner_epochs.csv"),
-        None => format!("{figure}_tuner_epochs.csv"),
-    };
-    let path = dir.join(name);
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(
-        f,
-        "policy,epoch,time_s,mu_ms,planned,moves,server,latency_ms,old_share,new_share,applied_share,outcome"
-    )?;
-    for r in results {
-        for e in &r.epochs {
-            let Some(tune) = &e.tune else { continue };
-            for d in &tune.decisions {
-                writeln!(
-                    f,
-                    "{},{},{:.3},{:.3},{},{},{},{:.3},{:.6},{:.6},{:.6},{}",
-                    csv_field(&r.policy),
-                    e.index,
-                    e.time_s,
-                    tune.mu_ms,
-                    tune.planned,
-                    e.moves,
-                    d.server.0,
-                    d.latency_ms,
-                    d.old_share,
-                    d.new_share,
-                    d.applied_share,
-                    d.outcome.name()
-                )?;
+) -> io::Result<PathBuf> {
+    write_csv(
+        dir.join(format!("{}.csv", file_stem(figure, tag, "tuner_epochs"))),
+        "policy,epoch,time_s,mu_ms,planned,moves,server,latency_ms,old_share,new_share,applied_share,outcome",
+        |f| {
+            for r in results {
+                for e in &r.epochs {
+                    let Some(tune) = &e.tune else { continue };
+                    for d in &tune.decisions {
+                        writeln!(
+                            f,
+                            "{},{},{:.3},{:.3},{},{},{},{:.3},{:.6},{:.6},{:.6},{}",
+                            csv_field(&r.policy),
+                            e.index,
+                            e.time_s,
+                            tune.mu_ms,
+                            tune.planned,
+                            e.moves,
+                            d.server.0,
+                            d.latency_ms,
+                            d.old_share,
+                            d.new_share,
+                            d.applied_share,
+                            d.outcome.name()
+                        )?;
+                    }
+                }
             }
-        }
-    }
-    f.flush()?;
-    Ok(path)
+            Ok(())
+        },
+    )
 }
 
 /// Write the metrics registries of a figure's runs as one combined CSV
@@ -235,53 +245,49 @@ pub fn write_metrics_csv(
     tag: Option<&str>,
     results: &[RunResult],
     dir: &Path,
-) -> io::Result<std::path::PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let name = match tag {
-        Some(t) => format!("{figure}_{t}_metrics.csv"),
-        None => format!("{figure}_metrics.csv"),
-    };
-    let path = dir.join(name);
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(f, "policy,epoch,metric,kind,value,p50,p95,p99")?;
-    for r in results {
-        let reg = &r.metrics;
-        let policy = csv_field(&r.policy);
-        for id in reg.ids() {
-            let kind = reg.kind(id);
-            let quantiles = if kind == anu_metrics::MetricKind::Histogram {
-                format!(
-                    "{},{},{}",
-                    reg.quantile(id, 0.50),
-                    reg.quantile(id, 0.95),
-                    reg.quantile(id, 0.99)
-                )
-            } else {
-                ",,".to_string()
-            };
-            writeln!(
-                f,
-                "{policy},final,{},{},{},{quantiles}",
-                csv_field(reg.name(id)),
-                kind.name(),
-                reg.value(id)
-            )?;
-        }
-        for snap in reg.snapshots() {
-            for &(id, value) in &snap.scalars {
-                writeln!(
-                    f,
-                    "{policy},{},{},{},{value},,,",
-                    snap.epoch,
-                    csv_field(reg.name(id)),
-                    reg.kind(id).name()
-                )?;
+) -> io::Result<PathBuf> {
+    write_csv(
+        dir.join(format!("{}.csv", file_stem(figure, tag, "metrics"))),
+        "policy,epoch,metric,kind,value,p50,p95,p99",
+        |f| {
+            for r in results {
+                let reg = &r.metrics;
+                let policy = csv_field(&r.policy);
+                for id in reg.ids() {
+                    let kind = reg.kind(id);
+                    let quantiles = if kind == anu_metrics::MetricKind::Histogram {
+                        format!(
+                            "{},{},{}",
+                            reg.quantile(id, 0.50),
+                            reg.quantile(id, 0.95),
+                            reg.quantile(id, 0.99)
+                        )
+                    } else {
+                        ",,".to_string()
+                    };
+                    writeln!(
+                        f,
+                        "{policy},final,{},{},{},{quantiles}",
+                        csv_field(reg.name(id)),
+                        kind.name(),
+                        reg.value(id)
+                    )?;
+                }
+                for snap in reg.snapshots() {
+                    for &(id, value) in &snap.scalars {
+                        writeln!(
+                            f,
+                            "{policy},{},{},{},{value},,,",
+                            snap.epoch,
+                            csv_field(reg.name(id)),
+                            reg.kind(id).name()
+                        )?;
+                    }
+                }
             }
-        }
-    }
-    f.flush()?;
-    Ok(path)
+            Ok(())
+        },
+    )
 }
 
 /// Render shape-check verdicts as the `[PASS]`/`[FAIL]` block the
@@ -457,7 +463,7 @@ mod tests {
     fn csv_files_written() {
         let rs = quick_result();
         let dir = std::env::temp_dir().join("anu_report_test");
-        let paths = write_figure_csvs("figX", &rs, &dir).unwrap();
+        let paths = write_figure_csvs_tagged("figX", None, &rs, &dir).unwrap();
         assert_eq!(paths.len(), 1);
         let content = std::fs::read_to_string(&paths[0]).unwrap();
         assert!(content.starts_with("minute,server"));

@@ -29,39 +29,53 @@ use crate::figures::ShapeCheck;
 use anu_cluster::{ProfileScope, RunProfiler, RunResult};
 use anu_core::Json;
 use anu_trace::{NullSink, RingSink, TraceLevel};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 /// Manifest schema identifier; bump when the shape of
-/// `BENCH_figures.json` changes incompatibly. v2 added structured-trace
-/// fields: per-task `trace_events`, top-level `trace_level` and
-/// `trace_overhead`. v3 added the top-level `chaos` section (fault
-/// intensity levels and per-cell availability metrics; `null` when the
-/// sweep ran without `--chaos`). v4 added the top-level `scale` factor
-/// the grid ran at, and the `bench` section (`figures --scale-bench N`):
-/// trace-off fig6 `events_per_sec` at scale 1 and scale N, the recorded
-/// `baseline` block, and the perf `gate` verdict (`null` when the probe
-/// did not run). v5 added the `bench.queue` event-queue comparison
-/// (binary heap vs calendar queue at scale N) and the top-level
-/// `multi_world` section (`figures --multi-world W`): aggregate events/sec
-/// of `W` independent seed×scale worlds drained by the worker pool
-/// (`null` when multi-world mode did not run). v6 added the per-task
-/// `metrics` block (deterministic registry export: counters, gauges,
-/// latency-histogram quantiles) and `profile` object (wall-clock seconds
-/// attributed to event dispatch / policy decide / metrics update / trace
-/// write — timing data, stripped before determinism comparisons), plus
-/// the top-level `profile` totals section including CSV render time. v7
-/// added the `storm` section (`null` unless `--storm` ran): the
-/// elasticity sweep's kinds, levels, audit verdict, and per-cell
-/// fairness/shed/scale rows. v8 added the `meanfield` section (`null`
-/// unless `--meanfield` ran): the analytic-oracle convergence sweep's
-/// scales, divergence ceiling, gate verdict, and per-(policy, scale)
-/// divergence rows. v9 removed `bench.queue`: the binary heap is the only
-/// event queue, so `bench.scale_n_events_per_sec` is its one scale-N
-/// probe. v10 removed the `multi_world` section: `figures --fig 6 --seeds
-/// W` runs the same derived-seed worlds as ordinary grid tasks.
-pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v10";
+/// `BENCH_figures.json` changes incompatibly. EXPERIMENTS.md keeps the
+/// schema history; v11 added the `ablations` section (`null` unless
+/// `--ablations` ran): the seed, the summary row count and the ablation
+/// studies' checks.
+pub const MANIFEST_SCHEMA: &str = "anu-bench-figures/v11";
+
+/// The side sections a `figures` run can add, in manifest order; each is
+/// `null` in the manifest unless its flag ran it.
+pub const SECTIONS: [&str; 4] = ["chaos", "storm", "meanfield", "ablations"];
+
+/// A side section of a `figures` run (`--chaos`, `--storm`, `--meanfield`,
+/// `--ablations`): its own grid at the base seed and scale 1, and what it
+/// makes of the results.
+pub struct Section {
+    /// Manifest key and command-line flag name; one of [`SECTIONS`].
+    pub name: &'static str,
+    /// The grid.
+    pub experiments: Vec<Experiment>,
+    /// Whether every run is traced at the requested level and gets its own
+    /// series, tuner-epoch and metrics CSVs. Otherwise the grid runs at
+    /// [`TraceLevel::Off`] and only the section's summaries are written.
+    pub per_run_outputs: bool,
+    /// The checks, the summary CSVs (written into the given directory) and
+    /// the manifest fragment, from the experiments and their results
+    /// grouped per experiment (see [`group_results`]).
+    pub finish: SectionFinish,
+}
+
+/// The type of [`Section::finish`].
+pub type SectionFinish =
+    Box<dyn FnOnce(&[Experiment], &[Vec<RunResult>], &Path) -> io::Result<SectionReport>>;
+
+/// What a [`Section`] derives from its results.
+#[derive(Clone, Debug)]
+pub struct SectionReport {
+    /// Checks that gate the exit code like the figure shape checks.
+    pub checks: Vec<ShapeCheck>,
+    /// The section's manifest fragment.
+    pub manifest: Json,
+}
 
 /// Recorded scale-1 fig6 throughput baseline (simulated events per
 /// wall-clock second, four-policy aggregate, `--jobs 1`, trace off):
@@ -111,26 +125,11 @@ pub fn gate_exit_code(all_pass: bool, bench_warn: bool) -> i32 {
     }
 }
 
-/// Requested worker count for [`Experiment::run_all`] when the caller does
-/// not pass one explicitly; 0 means "one worker per available core".
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the worker count used by [`Experiment::run_all`] (and therefore by
-/// every sweep study) when no explicit count is given. 0 restores the
-/// default of one worker per available core.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
 /// Resolve a requested worker count: 0 (auto) becomes the number of
 /// available cores, and anything else is used as-is.
 pub fn effective_jobs(requested: usize) -> usize {
     if requested > 0 {
         return requested;
-    }
-    let configured = DEFAULT_JOBS.load(Ordering::Relaxed);
-    if configured > 0 {
-        return configured;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -627,10 +626,9 @@ impl FigureVerdict {
 /// deterministic and must be identical at any worker count (see
 /// [`strip_timing`]).
 ///
-/// `chaos` is the [`crate::chaos::chaos_manifest`] fragment when the run
-/// swept fault intensities, `None` otherwise (serialized as `null`);
-/// `storm` likewise the [`crate::storm::storm_manifest`] fragment when
-/// the elasticity sweep ran. `scale` is the factor the grid's workloads were multiplied by (1 for
+/// `sections` holds the manifest fragment of every side section that ran,
+/// keyed by its [`SECTIONS`] name; the others serialize as `null`.
+/// `scale` is the factor the grid's workloads were multiplied by (1 for
 /// the canonical figures); `bench` is the [`ScaleBench`] probe result
 /// when `--scale-bench` ran, `None` otherwise (serialized as `null`).
 // One parameter per manifest section, called from exactly one place (the
@@ -645,9 +643,7 @@ pub fn manifest(
     verdicts: &[FigureVerdict],
     trace_level: TraceLevel,
     overhead: Option<&TraceOverhead>,
-    chaos: Option<&Json>,
-    storm: Option<&Json>,
-    meanfield: Option<&Json>,
+    sections: &[(&str, Json)],
     bench: Option<&ScaleBench>,
     csv_render_secs: f64,
 ) -> Json {
@@ -686,26 +682,18 @@ pub fn manifest(
     let figures: Vec<Json> = verdicts
         .iter()
         .map(|v| {
-            let checks: Vec<Json> = v
-                .checks
-                .iter()
-                .map(|c| {
-                    Json::obj(vec![
-                        ("claim", Json::str(&c.claim)),
-                        ("measured", Json::str(&c.measured)),
-                        ("pass", Json::bool(c.pass)),
-                    ])
-                })
-                .collect();
             Json::obj(vec![
                 ("figure", Json::u32(v.figure)),
                 ("seed", Json::u64(v.seed)),
                 ("pass", Json::bool(v.pass())),
-                ("checks", Json::arr(checks)),
+                (
+                    "checks",
+                    Json::arr(v.checks.iter().map(ShapeCheck::to_json).collect()),
+                ),
             ])
         })
         .collect();
-    Json::obj(vec![
+    let mut fields = vec![
         ("schema", Json::str(MANIFEST_SCHEMA)),
         ("base_seed", Json::u64(base_seed)),
         ("jobs", Json::usize(jobs)),
@@ -723,9 +711,12 @@ pub fn manifest(
             "all_pass",
             Json::bool(verdicts.iter().all(FigureVerdict::pass)),
         ),
-        ("chaos", chaos.cloned().unwrap_or(Json::Null)),
-        ("storm", storm.cloned().unwrap_or(Json::Null)),
-        ("meanfield", meanfield.cloned().unwrap_or(Json::Null)),
+    ];
+    fields.extend(SECTIONS.map(|name| {
+        let fragment = sections.iter().find(|(n, _)| *n == name);
+        (name, fragment.map_or(Json::Null, |(_, j)| j.clone()))
+    }));
+    fields.extend([
         ("bench", bench.map_or(Json::Null, ScaleBench::to_json)),
         (
             "profile",
@@ -736,7 +727,8 @@ pub fn manifest(
         ),
         ("tasks", Json::arr(tasks)),
         ("figures", Json::arr(figures)),
-    ])
+    ]);
+    Json::obj(fields)
 }
 
 /// Keys of manifest fields that legitimately differ between two runs of
@@ -887,9 +879,7 @@ mod tests {
             on_events_per_sec: 9.9e5,
             overhead_pct: 1.0,
         };
-        let chaos = Json::obj(vec![("levels", Json::arr(vec![Json::f64(1.0)]))]);
-        let storm = Json::obj(vec![("kinds", Json::arr(vec![Json::str("flash_crowd")]))]);
-        let meanfield = Json::obj(vec![("scales", Json::arr(vec![Json::u64(1)]))]);
+        let sections = SECTIONS.map(|name| (name, Json::obj(vec![("rows", Json::str(name))])));
         let bench = ScaleBench {
             scale: 100,
             scale1_events_per_sec: 1.2e7,
@@ -905,9 +895,7 @@ mod tests {
             &verdicts,
             TraceLevel::Off,
             Some(&over),
-            Some(&chaos),
-            Some(&storm),
-            Some(&meanfield),
+            &sections,
             Some(&bench),
             0.02,
         );
@@ -920,9 +908,7 @@ mod tests {
             &verdicts,
             TraceLevel::Off,
             None,
-            Some(&chaos),
-            Some(&storm),
-            Some(&meanfield),
+            &sections,
             None,
             0.01,
         );
@@ -970,14 +956,12 @@ mod tests {
             &verdicts,
             TraceLevel::Epoch,
             None,
-            None,
-            None,
-            None,
+            &[],
             None,
             0.0,
         );
         assert_eq!(m.get("schema").unwrap().as_str().unwrap(), MANIFEST_SCHEMA);
-        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v10");
+        assert_eq!(MANIFEST_SCHEMA, "anu-bench-figures/v11");
         assert_eq!(m.get("base_seed").unwrap().as_u64().unwrap(), 5);
         assert_eq!(m.get("scale").unwrap().as_u64().unwrap(), 1);
         assert_eq!(m.get("tasks_total").unwrap().as_usize().unwrap(), 3);
@@ -986,6 +970,7 @@ mod tests {
         assert_eq!(m.get("chaos").unwrap(), &Json::Null);
         assert_eq!(m.get("storm").unwrap(), &Json::Null);
         assert_eq!(m.get("meanfield").unwrap(), &Json::Null);
+        assert_eq!(m.get("ablations").unwrap(), &Json::Null);
         assert_eq!(m.get("bench").unwrap(), &Json::Null);
         assert!(m.get("multi_world").is_err(), "v10 has no multi_world");
         assert!(!m.get("all_pass").unwrap().as_bool().unwrap());
@@ -1096,10 +1081,6 @@ mod tests {
     #[test]
     fn effective_jobs_resolves_auto() {
         assert_eq!(effective_jobs(3), 3);
-        assert!(effective_jobs(0) >= 1);
-        set_default_jobs(2);
-        assert_eq!(effective_jobs(0), 2);
-        set_default_jobs(0);
         assert!(effective_jobs(0) >= 1);
     }
 }

@@ -22,16 +22,17 @@
 //! byte-identical at any `--jobs` value.
 
 use crate::experiment::{Experiment, PolicyKind};
+use crate::figures::ShapeCheck;
+use crate::report::write_csv;
+use crate::runner::{Section, SectionReport};
 use anu_cluster::{
     AutoscalerConfig, ClusterConfig, FaultPlanConfig, RunResult, RunSummary, ShedConfig,
 };
 use anu_core::{Json, ServerId, TuningConfig};
 use anu_des::SimDuration;
 use anu_workload::{CostModel, StormConfig, StormKind, SyntheticConfig, WeightDist};
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-
-use crate::figures::ShapeCheck;
 
 /// Storm-intensity levels of the default sweep (shared with the chaos
 /// sweep's axis: 0.5 = mild, 1 = nominal, 2 = violent).
@@ -205,18 +206,37 @@ pub fn storm_experiments(seed: u64) -> Vec<Experiment> {
     exps
 }
 
-/// One `(kind, intensity, policy)` cell of the storm summary.
+/// The `figures --storm` section: [`storm_experiments`], traced, with
+/// `storm_summary.csv`, [`storm_checks`] and [`storm_manifest`].
+pub fn storm_section(seed: u64) -> Section {
+    Section {
+        name: "storm",
+        experiments: storm_experiments(seed),
+        per_run_outputs: true,
+        finish: Box::new(|exps, grouped, dir| {
+            let rows = storm_rows(&storm_cells(), exps, grouped);
+            write_storm_summary_csv(&rows, dir)?;
+            Ok(SectionReport {
+                checks: storm_checks(&rows),
+                manifest: storm_manifest(&rows),
+            })
+        }),
+    }
+}
+
+/// One `(kind, intensity, policy)` cell of the storm summary; the chaos
+/// summary uses it too, with kind `"chaos"`.
 #[derive(Clone, Debug)]
 pub struct StormRow {
-    /// Storm kind name (`"flash_crowd"`, …, or `"converge"`).
+    /// Storm kind name (`"flash_crowd"`, …, `"converge"`), or `"chaos"`.
     pub kind: String,
-    /// Storm/churn intensity of the cell.
+    /// Storm/churn or fault intensity of the cell.
     pub intensity: f64,
     /// Policy label.
     pub policy: String,
-    /// Seed the storm and fault script were drawn from.
+    /// Seed the workload and fault script were drawn from.
     pub seed: u64,
-    /// Fault events in the compiled churn script.
+    /// Fault events in the compiled script.
     pub faults: usize,
     /// The run's summary (fairness and elasticity metrics included).
     pub summary: RunSummary,
@@ -248,47 +268,43 @@ pub fn storm_rows(
 }
 
 /// Write the storm fairness/elasticity summary as `storm_summary.csv` in
-/// `dir`: one row per cell, fixed-precision formatting so the bytes are
-/// deterministic across platforms and worker counts.
+/// `dir`: one row per cell.
 pub fn write_storm_summary_csv(rows: &[StormRow], dir: &Path) -> io::Result<PathBuf> {
-    use std::io::Write;
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("storm_summary.csv");
-    let mut f = io::BufWriter::new(std::fs::File::create(&path)?);
-    writeln!(
-        f,
+    write_csv(
+        dir.join("storm_summary.csv"),
         "kind,intensity,policy,seed,faults,offered,completed,shed,requeued,scale_ups,\
          scale_downs,mean_latency_ms,p99_latency_ms,jain_fairness,completion_fairness,\
-         p99_per_file_set_max_ms,unavailability_windows,audit_checks,audit_violations"
-    )?;
-    for r in rows {
-        let s = &r.summary;
-        writeln!(
-            f,
-            "{},{:.2},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{:.4},{:.3},{},{},{}",
-            r.kind,
-            r.intensity,
-            r.policy,
-            r.seed,
-            r.faults,
-            s.offered_requests,
-            s.completed_requests,
-            s.requests_shed,
-            s.requests_requeued,
-            s.scale_ups,
-            s.scale_downs,
-            s.mean_latency_ms,
-            s.p99_latency_ms,
-            s.jain_fairness,
-            s.completion_fairness,
-            s.p99_per_file_set_max,
-            s.unavailability_windows,
-            s.audit_checks,
-            s.audit_violations
-        )?;
-    }
-    f.flush()?;
-    Ok(path)
+         p99_per_file_set_max_ms,unavailability_windows,audit_checks,audit_violations",
+        |f| {
+            for r in rows {
+                let s = &r.summary;
+                writeln!(
+                    f,
+                    "{},{:.2},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.4},{:.4},{:.3},{},{},{}",
+                    r.kind,
+                    r.intensity,
+                    r.policy,
+                    r.seed,
+                    r.faults,
+                    s.offered_requests,
+                    s.completed_requests,
+                    s.requests_shed,
+                    s.requests_requeued,
+                    s.scale_ups,
+                    s.scale_downs,
+                    s.mean_latency_ms,
+                    s.p99_latency_ms,
+                    s.jain_fairness,
+                    s.completion_fairness,
+                    s.p99_per_file_set_max,
+                    s.unavailability_windows,
+                    s.audit_checks,
+                    s.audit_violations
+                )?;
+            }
+            Ok(())
+        },
+    )
 }
 
 /// Manifest fragment for the storm sweep (`BENCH_figures.json`, schema
@@ -320,10 +336,6 @@ pub fn storm_manifest(rows: &[StormRow]) -> Json {
         .collect();
     let mut kinds: Vec<String> = rows.iter().map(|r| r.kind.clone()).collect();
     kinds.dedup();
-    let audit_clean = !rows.is_empty()
-        && rows
-            .iter()
-            .all(|r| r.summary.audit_checks > 0 && r.summary.audit_violations == 0);
     Json::obj(vec![
         (
             "kinds",
@@ -333,9 +345,52 @@ pub fn storm_manifest(rows: &[StormRow]) -> Json {
             "levels",
             Json::arr(STORM_LEVELS.iter().map(|&l| Json::f64(l)).collect()),
         ),
-        ("audit_clean", Json::bool(audit_clean)),
+        ("audit_clean", Json::bool(audit_clean(rows))),
         ("rows", Json::arr(cells)),
     ])
+}
+
+/// Did the invariant auditor run in every cell and find nothing? (The
+/// manifests' `audit_clean` verdict.)
+pub(crate) fn audit_clean(rows: &[StormRow]) -> bool {
+    let clean = |r: &StormRow| r.summary.audit_checks > 0 && r.summary.audit_violations == 0;
+    !rows.is_empty() && rows.iter().all(clean)
+}
+
+/// The conservation checks every fault- or storm-injected grid makes over
+/// its runs: the invariant auditor ran at every fault, tick and
+/// membership boundary and found nothing, and every offered request
+/// completed or was shed at admission — failures requeue requests but
+/// never lose one in flight.
+pub(crate) fn conservation_checks(scope: &str, runs: &[&RunSummary]) -> [ShapeCheck; 2] {
+    let sum = |f: fn(&RunSummary) -> u64| -> u64 { runs.iter().map(|s| f(s)).sum() };
+    let (audits, violations) = (sum(|s| s.audit_checks), sum(|s| s.audit_violations));
+    let (requeued, shed) = (sum(|s| s.requests_requeued), sum(|s| s.requests_shed));
+    let lost = sum(|s| {
+        s.offered_requests
+            .saturating_sub(s.completed_requests + s.requests_shed)
+    });
+    [
+        ShapeCheck {
+            claim: format!(
+                "{scope}: the invariant auditor runs at every fault, tick and membership \
+                 boundary and finds no violation"
+            ),
+            measured: format!(
+                "{} runs, {audits} checks, {violations} violations",
+                runs.len()
+            ),
+            pass: !runs.is_empty() && audits > 0 && violations == 0,
+        },
+        ShapeCheck {
+            claim: format!(
+                "{scope}: failures and overload displace requests (requeue, shed) but never \
+                 lose one in flight"
+            ),
+            measured: format!("{lost} lost, {requeued} requeued, {shed} shed"),
+            pass: lost == 0,
+        },
+    ]
 }
 
 /// Robustness checks for the storm sweep — the acceptance claims of the
@@ -352,36 +407,8 @@ pub fn storm_manifest(rows: &[StormRow]) -> Json {
 /// * the convergence cell commissions through the flash crowd, retires
 ///   afterwards, and keeps whole-run Jain fairness above the floor.
 pub fn storm_checks(rows: &[StormRow]) -> Vec<ShapeCheck> {
-    let mut checks = Vec::new();
-    let total_checks: u64 = rows.iter().map(|r| r.summary.audit_checks).sum();
-    let total_violations: u64 = rows.iter().map(|r| r.summary.audit_violations).sum();
-    checks.push(ShapeCheck {
-        claim: "storm: the invariant auditor runs at every membership boundary (scale + fault) \
-                and finds no violation"
-            .into(),
-        measured: format!(
-            "{} cells, {total_checks} checks, {total_violations} violations",
-            rows.len()
-        ),
-        pass: !rows.is_empty() && total_checks > 0 && total_violations == 0,
-    });
-
-    let lost: u64 = rows
-        .iter()
-        .map(|r| {
-            r.summary
-                .offered_requests
-                .saturating_sub(r.summary.completed_requests + r.summary.requests_shed)
-        })
-        .sum();
-    let shed: u64 = rows.iter().map(|r| r.summary.requests_shed).sum();
-    checks.push(ShapeCheck {
-        claim: "storm: overload sheds deterministically at admission but never loses a request \
-                in flight"
-            .into(),
-        measured: format!("{lost} lost, {shed} shed across cells"),
-        pass: lost == 0,
-    });
+    let runs: Vec<&RunSummary> = rows.iter().map(|r| &r.summary).collect();
+    let mut checks = conservation_checks("storm", &runs).to_vec();
 
     // Policy scoreboard. Completion fairness — Jain over per-set served
     // fractions — is the honest basis for comparing ANU against the

@@ -1,5 +1,5 @@
 //! The `figures` exit-code contract `ci/check.sh` consumes, and the
-//! usage-error code `figures` and `sweep` share.
+//! usage-error code `figures` and `tracegen` share.
 //!
 //! Exit 0 = checks + gate pass, 2 = usage error, 3 = `--bench-gate`
 //! armed and the throughput probe fell below the soft threshold. (Exit 1
@@ -99,8 +99,8 @@ fn bench_gate_without_probe_is_a_usage_error() {
 #[test]
 fn unknown_argument_is_a_usage_error() {
     let figures = env!("CARGO_BIN_EXE_figures");
-    let sweep = env!("CARGO_BIN_EXE_sweep");
-    let cases: [(&str, &[&str], &str); 11] = [
+    let tracegen = env!("CARGO_BIN_EXE_tracegen");
+    let cases: [(&str, &[&str], &str); 10] = [
         (
             figures,
             &["--no-such-flag"],
@@ -115,18 +115,17 @@ fn unknown_argument_is_a_usage_error() {
             "--trace-level needs off|epoch|request",
         ),
         (figures, &["--scale", "0"], "--scale needs a factor >= 1"),
-        (sweep, &["--seed", "x"], "--seed needs an integer"),
-        (sweep, &["--jobs", "-1"], "--jobs needs a worker count"),
-        (sweep, &["--study"], "usage: sweep"),
         (
-            sweep,
-            &["--study", "nope"],
-            "unknown study nope\nusage: sweep",
+            tracegen,
+            &["--requests", "x"],
+            "--requests needs an integer",
         ),
+        (tracegen, &["--duration", "abc"], "--duration needs seconds"),
+        (tracegen, &["--seed"], "--seed needs an integer"),
         (
-            sweep,
-            &["--study", "motivation"],
-            "unknown study motivation",
+            tracegen,
+            &["--kind", "nope"],
+            "unknown kind nope; use dfslike or synthetic",
         ),
     ];
     for (bin, args, want) in cases {

@@ -53,9 +53,6 @@ pub struct AnuPolicy {
     /// the share the tuner had already learned instead of the 1/n
     /// average.
     parked_shares: BTreeMap<ServerId, f64>,
-    /// Cumulative statistics for analysis.
-    ticks_with_moves: u64,
-    ticks_total: u64,
     /// Tuner telemetry from the last tick, with `applied_share` filled in
     /// from the post-rebalance placement map (the quantized region widths
     /// the cluster actually runs with).
@@ -73,8 +70,6 @@ impl AnuPolicy {
             pause_ticks_left: 0,
             file_sets: Vec::new(),
             parked_shares: BTreeMap::new(),
-            ticks_with_moves: 0,
-            ticks_total: 0,
             last_epoch: None,
         }
     }
@@ -98,11 +93,6 @@ impl AnuPolicy {
     /// Access the live placement map (None before `initial`).
     pub fn map(&self) -> Option<&PlacementMap> {
         self.map.as_ref()
-    }
-
-    /// `(ticks that produced moves, total ticks)` — convergence diagnostic.
-    pub fn tick_stats(&self) -> (u64, u64) {
-        (self.ticks_with_moves, self.ticks_total)
     }
 
     fn target_assignment(
@@ -138,7 +128,6 @@ impl PlacementPolicy for AnuPolicy {
         reports: &[LoadReport],
         assignment: &Assignment,
     ) -> Vec<MoveSet> {
-        self.ticks_total += 1;
         if self.pause_ticks_left > 0 {
             // Re-election in progress: no delegate, no tuning pass, no
             // telemetry. The placement map keeps serving lookups.
@@ -188,11 +177,7 @@ impl PlacementPolicy for AnuPolicy {
         }
         self.last_epoch = epoch;
         let target = Self::target_assignment(map, &self.file_sets);
-        let moves = diff_moves(assignment, &target);
-        if !moves.is_empty() {
-            self.ticks_with_moves += 1;
-        }
-        moves
+        diff_moves(assignment, &target)
     }
 
     fn take_epoch(&mut self) -> Option<TuneEpoch> {
@@ -414,7 +399,7 @@ mod tests {
             &a,
         );
         assert!(moves.is_empty());
-        assert_eq!(p.tick_stats(), (0, 1));
+        assert!(p.take_epoch().is_some_and(|e| !e.planned));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Golden regression pins for the committed `out/` artifacts.
 //!
 //! At `DEFAULT_SEED` the figure-6 CSVs (four per-server series, the
-//! tuner-epoch log), the chaos summary, and the mean-field sweep's
-//! cell/convergence CSVs are part of the repo: the
+//! tuner-epoch log), the chaos and storm summaries, and the mean-field
+//! sweep's cell/convergence CSVs are part of the repo: the
 //! exact bytes under `out/` are what `ci/check.sh` regenerates and
 //! diffs. These tests pin the same bytes by FNV-1a fingerprint so a
 //! behavioural change shows up in `cargo test` — long before the full
@@ -15,8 +15,9 @@
 
 use anu_harness::{
     chaos_experiments, chaos_rows, figure, meanfield_experiments, meanfield_grid, meanfield_rows,
-    runner, write_chaos_summary_csv, write_figure_csvs_tagged, write_meanfield_cells_csv,
-    write_meanfield_convergence_csv, write_tuner_epochs_csv, CHAOS_LEVELS, DEFAULT_SEED,
+    runner, storm_cells, storm_experiments, storm_rows, write_chaos_summary_csv,
+    write_figure_csvs_tagged, write_meanfield_cells_csv, write_meanfield_convergence_csv,
+    write_storm_summary_csv, write_tuner_epochs_csv, CHAOS_LEVELS, DEFAULT_SEED,
 };
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -41,6 +42,10 @@ const FIG6_GOLDEN: [(&str, u64, usize); 5] = [
 ];
 
 const CHAOS_GOLDEN: (&str, u64, usize) = ("chaos_summary.csv", 0xa0e0dc4e3fc4b86b, 1325);
+
+/// The storm sweep's fairness/elasticity summary: one row per
+/// `(kind, intensity, policy)` cell plus the convergence cell.
+const STORM_GOLDEN: (&str, u64, usize) = ("storm_summary.csv", 0xe8bf59235bd9df6e, 5869);
 
 /// The mean-field sweep's committed artifacts: per-server predictions
 /// next to measurements for every (scale, replica, policy) cell, and the
@@ -101,6 +106,20 @@ fn chaos_summary_matches_golden_at_default_seed() {
     let rows = chaos_rows(&CHAOS_LEVELS, &exps, &grouped);
     let path = write_chaos_summary_csv(&rows, &tmp).expect("write chaos summary");
     let (name, hash, len) = CHAOS_GOLDEN;
+    check_artifact(&path, name, hash, len);
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+#[test]
+fn storm_summary_matches_golden_at_default_seed() {
+    let tmp = std::env::temp_dir().join(format!("anu_golden_storm_{}", std::process::id()));
+    std::fs::create_dir_all(&tmp).expect("temp dir");
+    let exps = storm_experiments(DEFAULT_SEED);
+    let outcomes = runner::run_grid(&exps, 0);
+    let grouped = runner::group_results(outcomes, exps.len());
+    let rows = storm_rows(&storm_cells(), &exps, &grouped);
+    let path = write_storm_summary_csv(&rows, &tmp).expect("write storm summary");
+    let (name, hash, len) = STORM_GOLDEN;
     check_artifact(&path, name, hash, len);
     let _ = std::fs::remove_dir_all(&tmp);
 }
